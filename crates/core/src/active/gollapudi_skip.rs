@@ -11,7 +11,7 @@
 //! per-element cost drops from `O(C·S_k)` to `O(log(C·S_k))` expected.
 
 use crate::quantization::{check_constant, floor_quantize};
-use crate::sketch::{check_out_len, pack3, Sketch, SketchError, SketchScratch, Sketcher};
+use crate::sketch::{check_out_len, pack3, SketchError, SketchScratch, Sketcher};
 use wmh_hash::seeded::role;
 use wmh_hash::SeededHash;
 use wmh_sets::WeightedSet;
@@ -124,10 +124,6 @@ impl Sketcher for GollapudiSkip {
 
     fn seed(&self) -> u64 {
         self.seed
-    }
-
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
-        self.sketch_with(set, &mut SketchScratch::new())
     }
 
     fn sketch_codes_into(

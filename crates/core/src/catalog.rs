@@ -2,7 +2,7 @@
 //! uniform factory for the evaluation harness.
 
 use crate::active::GollapudiSkip;
-use crate::cws::{Ccws, Cws, I2cws, Icws, MathProfile, Pcws, ZeroBitCws};
+use crate::cws::{Ccws, Cws, I2cws, Icws, Pcws, ZeroBitCws};
 use crate::minhash::MinHash;
 use crate::modern::{BagMinHash, DartMinHash};
 use crate::others::{Chum, GollapudiThreshold, Shrivastava, UpperBounds};
@@ -325,16 +325,6 @@ pub struct AlgorithmConfig {
     /// (DartMinHash / BagMinHash); exhaustion surfaces as typed
     /// [`SketchError::BudgetExhausted`].
     pub modern_probe_budget: u64,
-    /// Build the ICWS-family closed forms over the polynomial
-    /// [`crate::cws::MathProfile::FastPoly`] ln/exp approximations instead
-    /// of libm (ICWS and 0-bit CWS only; other algorithms ignore the knob).
-    ///
-    /// Default **false** — exact, byte-stable sketching. Accepting `true`
-    /// additionally requires the `fast-math` cargo feature; without it,
-    /// [`Algorithm::build`] returns [`SketchError::BadParameter`], so a
-    /// config file alone can never silently trade exactness away. Sketches
-    /// from different math profiles are not comparable.
-    pub fast_math: bool,
 }
 
 impl Default for AlgorithmConfig {
@@ -345,7 +335,6 @@ impl Default for AlgorithmConfig {
             max_rejection_draws: crate::others::DEFAULT_MAX_DRAWS,
             ccws_weight_scale: 1.0,
             modern_probe_budget: crate::modern::DEFAULT_MODERN_PROBES,
-            fast_math: false,
         }
     }
 }
@@ -369,25 +358,14 @@ impl Algorithm {
         config: &AlgorithmConfig,
     ) -> Result<Box<dyn Sketcher + Send + Sync>, SketchError> {
         let c = config.quantization_constant;
-        let math = if config.fast_math {
-            if !cfg!(feature = "fast-math") {
-                return Err(SketchError::BadParameter {
-                    what: "fast_math requires the `fast-math` cargo feature",
-                    value: 1.0,
-                });
-            }
-            MathProfile::FastPoly
-        } else {
-            MathProfile::Exact
-        };
         Ok(match self {
             Self::MinHash => Box::new(MinHash::new(seed, num_hashes)),
             Self::Haveliwala2000 => Box::new(Haveliwala::new(seed, num_hashes, c)?),
             Self::Haeupler2014 => Box::new(Haeupler::new(seed, num_hashes, c)?),
             Self::GollapudiActive => Box::new(GollapudiSkip::new(seed, num_hashes, c)?),
             Self::Cws => Box::new(Cws::new(seed, num_hashes)),
-            Self::Icws => Box::new(Icws::with_math_profile(seed, num_hashes, math)),
-            Self::ZeroBitCws => Box::new(ZeroBitCws::with_math_profile(seed, num_hashes, math)),
+            Self::Icws => Box::new(Icws::new(seed, num_hashes)),
+            Self::ZeroBitCws => Box::new(ZeroBitCws::new(seed, num_hashes)),
             Self::Ccws => {
                 Box::new(Ccws::new(seed, num_hashes).with_weight_scale(config.ccws_weight_scale)?)
             }
@@ -478,46 +456,6 @@ mod tests {
     fn shrivastava_requires_bounds() {
         let config = AlgorithmConfig::default();
         assert!(Algorithm::Shrivastava2016.build(1, 4, &config).is_err());
-    }
-
-    #[test]
-    fn fast_math_defaults_off_and_default_build_is_exact() {
-        // Pin: default config never trades exactness — catalog-built ICWS
-        // and 0-bit CWS are byte-identical to the exact-profile
-        // constructors, regardless of which cargo features are compiled in.
-        let config = AlgorithmConfig::default();
-        assert!(!config.fast_math, "fast_math must default OFF");
-        let s = WeightedSet::from_pairs([(1, 0.31), (2, 1.5), (9, 0.75)]).unwrap();
-        let built = Algorithm::Icws.build(7, 32, &config).unwrap().sketch(&s).unwrap();
-        let exact = Icws::new(7, 32).sketch(&s).unwrap();
-        assert_eq!(built, exact);
-        let built = Algorithm::ZeroBitCws.build(7, 32, &config).unwrap().sketch(&s).unwrap();
-        let exact = ZeroBitCws::new(7, 32).sketch(&s).unwrap();
-        assert_eq!(built, exact);
-    }
-
-    #[test]
-    fn fast_math_knob_is_feature_gated() {
-        let config = AlgorithmConfig { fast_math: true, ..AlgorithmConfig::default() };
-        let result = Algorithm::Icws.build(7, 32, &config);
-        #[cfg(not(feature = "fast-math"))]
-        {
-            // Without the cargo feature the knob is a typed error — for
-            // every algorithm, so a mis-set config cannot half-apply.
-            assert!(matches!(result, Err(SketchError::BadParameter { .. })));
-            assert!(Algorithm::MinHash.build(7, 32, &config).is_err());
-        }
-        #[cfg(feature = "fast-math")]
-        {
-            // With the feature, ICWS builds on the FastPoly profile...
-            let s = WeightedSet::from_pairs([(1, 0.31), (2, 1.5), (9, 0.75)]).unwrap();
-            let built = result.unwrap().sketch(&s).unwrap();
-            let fast = Icws::with_math_profile(7, 32, MathProfile::FastPoly).sketch(&s).unwrap();
-            assert_eq!(built, fast);
-            // ...and algorithms without a math profile simply ignore the
-            // knob instead of erroring.
-            assert!(Algorithm::MinHash.build(7, 32, &config).is_ok());
-        }
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! (Eq. 9) with `c_k ~ Gamma(2,1)`, exactly the framework of §4.2.4.
 
 use crate::cws::encode_step;
-use crate::sketch::{check_out_len, pack3, Sketch, SketchError, SketchScratch, Sketcher};
+use crate::sketch::{check_out_len, pack3, SketchError, SketchScratch, Sketcher};
 use wmh_hash::seeded::role;
 use wmh_hash::SeededHash;
 use wmh_rng::{beta21_from_unit, gamma21_from_units};
@@ -155,10 +155,6 @@ impl Sketcher for Ccws {
 
     fn seed(&self) -> u64 {
         self.seed
-    }
-
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
-        self.sketch_with(set, &mut SketchScratch::new())
     }
 
     fn sketch_codes_into(

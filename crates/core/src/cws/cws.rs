@@ -36,7 +36,7 @@
 //! `|R_S ∩ R_T| / |R_S ∪ R_T|` — the generalized Jaccard similarity,
 //! exactly (Eq. 4).
 
-use crate::sketch::{check_out_len, pack3, Sketch, SketchError, SketchScratch, Sketcher};
+use crate::sketch::{check_out_len, pack3, SketchError, SketchScratch, Sketcher};
 use wmh_hash::seeded::role;
 use wmh_hash::{SeededHash, WordChain};
 use wmh_rng::exp_from_unit;
@@ -231,10 +231,6 @@ impl Sketcher for Cws {
 
     fn seed(&self) -> u64 {
         self.seed
-    }
-
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
-        self.sketch_with(set, &mut SketchScratch::new())
     }
 
     fn sketch_codes_into(

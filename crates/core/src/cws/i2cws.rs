@@ -15,7 +15,7 @@
 //! describes, giving `O(5nD)` time despite `O(7nD)` space.
 
 use crate::cws::encode_step;
-use crate::sketch::{check_out_len, pack3, Sketch, SketchError, SketchScratch, Sketcher};
+use crate::sketch::{check_out_len, pack3, SketchError, SketchScratch, Sketcher};
 use wmh_hash::seeded::role;
 use wmh_hash::SeededHash;
 use wmh_rng::gamma21_from_units;
@@ -90,10 +90,6 @@ impl Sketcher for I2cws {
 
     fn seed(&self) -> u64 {
         self.seed
-    }
-
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
-        self.sketch_with(set, &mut SketchScratch::new())
     }
 
     fn sketch_codes_into(

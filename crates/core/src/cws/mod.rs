@@ -19,7 +19,6 @@
 mod ccws;
 #[allow(clippy::module_inception)]
 mod cws;
-pub mod fastmath;
 mod i2cws;
 mod icws;
 mod pcws;
@@ -27,7 +26,6 @@ mod zero_bit;
 
 pub use ccws::{Ccws, CcwsPairing};
 pub use cws::{Cws, RecordSample};
-pub use fastmath::MathProfile;
 pub use i2cws::I2cws;
 pub use icws::{Icws, IcwsSample};
 pub use pcws::Pcws;

@@ -12,7 +12,7 @@
 //! Figure 9 shows.
 
 use crate::cws::encode_step;
-use crate::sketch::{check_out_len, pack3, Sketch, SketchError, SketchScratch, Sketcher};
+use crate::sketch::{check_out_len, pack3, SketchError, SketchScratch, Sketcher};
 use wmh_hash::seeded::role;
 use wmh_hash::SeededHash;
 use wmh_sets::WeightedSet;
@@ -72,10 +72,6 @@ impl Sketcher for Pcws {
 
     fn seed(&self) -> u64 {
         self.seed
-    }
-
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
-        self.sketch_with(set, &mut SketchScratch::new())
     }
 
     fn sketch_codes_into(

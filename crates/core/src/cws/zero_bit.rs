@@ -6,9 +6,8 @@
 //! collision probability barely changes; the review echoes that a rigorous
 //! proof "remains a difficult probability problem".
 
-use crate::cws::fastmath::MathProfile;
 use crate::cws::Icws;
-use crate::sketch::{pack2, Sketch, SketchError, SketchScratch, Sketcher};
+use crate::sketch::{pack2, SketchError, SketchScratch, Sketcher};
 use wmh_sets::WeightedSet;
 
 /// ICWS with the `y_k` component discarded.
@@ -27,14 +26,7 @@ impl ZeroBitCws {
     /// the same seed, it selects exactly the elements ICWS selects).
     #[must_use]
     pub fn new(seed: u64, num_hashes: usize) -> Self {
-        Self::with_math_profile(seed, num_hashes, MathProfile::default())
-    }
-
-    /// Create a 0-bit CWS sketcher over an explicit [`MathProfile`] for the
-    /// inner ICWS closed form (see [`Icws::with_math_profile`]).
-    #[must_use]
-    pub fn with_math_profile(seed: u64, num_hashes: usize, math: MathProfile) -> Self {
-        Self { inner: Icws::with_math_profile(seed, num_hashes, math), seed, num_hashes }
+        Self { inner: Icws::new(seed, num_hashes), seed, num_hashes }
     }
 
     /// Access the underlying ICWS sampler.
@@ -55,10 +47,6 @@ impl Sketcher for ZeroBitCws {
 
     fn seed(&self) -> u64 {
         self.seed
-    }
-
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
-        self.sketch_with(set, &mut SketchScratch::new())
     }
 
     fn sketch_codes_into(

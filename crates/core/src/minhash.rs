@@ -4,7 +4,7 @@
 //! simply discards the weights (the review's method 1 in §6.2), which is
 //! exactly why it performs worst in Figure 8 — "serious information loss".
 
-use crate::sketch::{check_out_len, pack2, Sketch, SketchError, SketchScratch, Sketcher};
+use crate::sketch::{check_out_len, pack2, SketchError, SketchScratch, Sketcher};
 use wmh_hash::tabulation::TabulationHash;
 use wmh_hash::{MersennePermutation, SeededHash};
 use wmh_sets::WeightedSet;
@@ -119,10 +119,6 @@ impl Sketcher for MinHash {
 
     fn seed(&self) -> u64 {
         self.seed
-    }
-
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
-        self.sketch_with(set, &mut SketchScratch::new())
     }
 
     fn sketch_codes_into(

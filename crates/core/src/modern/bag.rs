@@ -26,7 +26,7 @@
 use super::{
     decompose, first_band, DartRoles, DartThrower, DEFAULT_MODERN_PROBES, EMPTY_KEY, MIN_KEY,
 };
-use crate::sketch::{check_out_len, Sketch, SketchError, SketchScratch, Sketcher};
+use crate::sketch::{check_out_len, SketchError, SketchScratch, Sketcher};
 use wmh_hash::seeded::role;
 use wmh_hash::SeededHash;
 use wmh_sets::WeightedSet;
@@ -77,10 +77,6 @@ impl Sketcher for BagMinHash {
 
     fn seed(&self) -> u64 {
         self.seed
-    }
-
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
-        self.sketch_with(set, &mut SketchScratch::new())
     }
 
     fn sketch_codes_into(

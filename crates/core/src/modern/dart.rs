@@ -18,7 +18,7 @@
 //! for the `2⁻⁴⁰`-scale grid caveats).
 
 use super::{decompose, first_band, DartRoles, DartThrower, DEFAULT_MODERN_PROBES, EMPTY_KEY};
-use crate::sketch::{check_out_len, Sketch, SketchError, SketchScratch, Sketcher};
+use crate::sketch::{check_out_len, SketchError, SketchScratch, Sketcher};
 use wmh_hash::seeded::role;
 use wmh_hash::SeededHash;
 use wmh_sets::WeightedSet;
@@ -79,10 +79,6 @@ impl Sketcher for DartMinHash {
 
     fn seed(&self) -> u64 {
         self.seed
-    }
-
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
-        self.sketch_with(set, &mut SketchScratch::new())
     }
 
     fn sketch_codes_into(

@@ -14,7 +14,7 @@
 //! the estimator is **biased** (§5.2: consistency fails because the sampled
 //! subelement depends on the weight, not on a shared interval).
 
-use crate::sketch::{check_out_len, pack2, Sketch, SketchError, SketchScratch, Sketcher};
+use crate::sketch::{check_out_len, pack2, SketchError, SketchScratch, Sketcher};
 use wmh_hash::seeded::role;
 use wmh_hash::SeededHash;
 use wmh_rng::exp_from_unit;
@@ -56,10 +56,6 @@ impl Sketcher for Chum {
 
     fn seed(&self) -> u64 {
         self.seed
-    }
-
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
-        self.sketch_with(set, &mut SketchScratch::new())
     }
 
     fn sketch_codes_into(

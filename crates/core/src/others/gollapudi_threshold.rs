@@ -11,7 +11,7 @@
 //! the kept support to the set's own maximum, and thresholding loses the
 //! sub-maximum weight structure.
 
-use crate::sketch::{check_out_len, pack2, Sketch, SketchError, SketchScratch, Sketcher};
+use crate::sketch::{check_out_len, pack2, SketchError, SketchScratch, Sketcher};
 use wmh_hash::seeded::role;
 use wmh_hash::SeededHash;
 use wmh_sets::WeightedSet;
@@ -67,10 +67,6 @@ impl Sketcher for GollapudiThreshold {
 
     fn seed(&self) -> u64 {
         self.seed
-    }
-
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
-        self.sketch_with(set, &mut SketchScratch::new())
     }
 
     fn sketch_codes_into(

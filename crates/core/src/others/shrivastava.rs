@@ -15,7 +15,7 @@
 //! Syn3E0.2S in Figure 8/9 — and a weight above its pre-scanned bound is a
 //! hard error (the streaming limitation of §5.3).
 
-use crate::sketch::{pack2, Sketch, SketchError, Sketcher};
+use crate::sketch::{check_out_len, pack2, SketchError, SketchScratch, Sketcher};
 use wmh_hash::seeded::role;
 use wmh_hash::SeededHash;
 use wmh_sets::WeightedSet;
@@ -186,7 +186,13 @@ impl Sketcher for Shrivastava {
         self.seed
     }
 
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
+    fn sketch_codes_into(
+        &self,
+        set: &WeightedSet,
+        out: &mut [u64],
+        _scratch: &mut SketchScratch,
+    ) -> Result<(), SketchError> {
+        check_out_len(out, self.num_hashes)?;
         if set.is_empty() {
             return Err(SketchError::EmptySet);
         }
@@ -207,15 +213,14 @@ impl Sketcher for Shrivastava {
                 }
             }
         }
-        let mut codes = Vec::with_capacity(self.num_hashes);
-        for d in 0..self.num_hashes {
+        for (d, slot) in out.iter_mut().enumerate() {
             let t = self.first_green(set, d).ok_or(SketchError::BudgetExhausted {
                 what: "Shrivastava2016 rejection sampling (acceptance rate too low)",
                 spent: self.max_draws,
             })?;
-            codes.push(pack2(d as u64, t));
+            *slot = pack2(d as u64, t);
         }
-        Ok(Sketch { algorithm: Self::NAME.to_owned(), seed: self.seed, codes })
+        Ok(())
     }
 }
 

@@ -2,7 +2,7 @@
 //! part with probability equal to its value.
 
 use crate::quantization::{check_constant, check_subelement_budget, floor_quantize};
-use crate::sketch::{pack3, Sketch, SketchError, Sketcher};
+use crate::sketch::{check_out_len, pack3, SketchError, SketchScratch, Sketcher};
 use wmh_hash::seeded::role;
 use wmh_hash::SeededHash;
 use wmh_sets::WeightedSet;
@@ -77,16 +77,22 @@ impl Sketcher for Haeupler {
         self.seed
     }
 
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
+    fn sketch_codes_into(
+        &self,
+        set: &WeightedSet,
+        out: &mut [u64],
+        scratch: &mut SketchScratch,
+    ) -> Result<(), SketchError> {
+        check_out_len(out, self.num_hashes)?;
         if set.is_empty() {
             return Err(SketchError::EmptySet);
         }
         // Round once (not per d): the algorithm sketches the rounded set.
-        let counts: Vec<(u64, u64)> = set
-            .iter()
-            .map(|(k, w)| (k, self.effective_count(k, w)))
-            .filter(|&(_, c)| c > 0)
-            .collect();
+        let counts = scratch.pairs();
+        counts.clear();
+        counts.extend(
+            set.iter().map(|(k, w)| (k, self.effective_count(k, w))).filter(|&(_, c)| c > 0),
+        );
         if counts.is_empty() {
             return Err(SketchError::BadParameter {
                 what: "quantization constant C (all weights rounded to zero)",
@@ -97,10 +103,9 @@ impl Sketcher for Haeupler {
             counts.iter().map(|&(_, c)| c),
             "Haeupler2014 subelement enumeration (C · Σ weights too large)",
         )?;
-        let mut codes = Vec::with_capacity(self.num_hashes);
-        for d in 0..self.num_hashes {
+        for (d, slot) in out.iter_mut().enumerate() {
             let mut best: Option<(u64, u64, u64)> = None;
-            for &(k, count) in &counts {
+            for &(k, count) in counts.iter() {
                 for i in 0..count {
                     // Same subelement role/coordinates as Haveliwala: the two
                     // algorithms share the augmented universe's randomness,
@@ -116,9 +121,9 @@ impl Sketcher for Haeupler {
             let Some((_, k, i)) = best else {
                 return Err(SketchError::EmptySet);
             };
-            codes.push(pack3(d as u64, k, i));
+            *slot = pack3(d as u64, k, i);
         }
-        Ok(Sketch { algorithm: Self::NAME.to_owned(), seed: self.seed, codes })
+        Ok(())
     }
 }
 

@@ -2,7 +2,7 @@
 //! subelement.
 
 use crate::quantization::{check_constant, check_subelement_budget, floor_quantize};
-use crate::sketch::{pack3, Sketch, SketchError, Sketcher};
+use crate::sketch::{check_out_len, pack3, SketchError, SketchScratch, Sketcher};
 use wmh_hash::seeded::role;
 use wmh_hash::SeededHash;
 use wmh_sets::WeightedSet;
@@ -80,7 +80,13 @@ impl Sketcher for Haveliwala {
         self.seed
     }
 
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
+    fn sketch_codes_into(
+        &self,
+        set: &WeightedSet,
+        out: &mut [u64],
+        _scratch: &mut SketchScratch,
+    ) -> Result<(), SketchError> {
+        check_out_len(out, self.num_hashes)?;
         if set.is_empty() {
             return Err(SketchError::EmptySet);
         }
@@ -90,10 +96,9 @@ impl Sketcher for Haveliwala {
         )?;
         // A set whose every weight floors to zero has an empty augmented
         // universe — the algorithm's documented failure mode for too-small C.
-        let mut codes = Vec::with_capacity(self.num_hashes);
-        for d in 0..self.num_hashes {
+        for (d, slot) in out.iter_mut().enumerate() {
             match self.min_subelement(set, d) {
-                Some((k, i, _)) => codes.push(pack3(d as u64, k, i)),
+                Some((k, i, _)) => *slot = pack3(d as u64, k, i),
                 None => {
                     return Err(SketchError::BadParameter {
                         what: "quantization constant C (all weights floor to zero)",
@@ -102,7 +107,7 @@ impl Sketcher for Haveliwala {
                 }
             }
         }
-        Ok(Sketch { algorithm: Self::NAME.to_owned(), seed: self.seed, codes })
+        Ok(())
     }
 }
 

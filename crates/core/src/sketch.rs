@@ -297,8 +297,8 @@ impl SketchScratch {
 /// Structure-of-arrays working lanes for the vectorized sketching kernels.
 ///
 /// The hot CWS-family loops are *d-outer, element-inner*: for each hash
-/// index `d` they hoist the `(role, d)` hash prefixes once (via the
-/// lane-parallel [`wmh_hash::seeded::HashPrefix`] surface) and run the
+/// index `d` they hoist the `(role, d)` hash prefixes once (a
+/// [`wmh_hash::seeded::HashPrefix`] each) and run the
 /// per-element uniforms, closed-form arithmetic, and a branchless
 /// min-reduction in one fused register pass — an A/B against a buffered
 /// fill-then-scan layout showed the lane round-trip costs more than it
@@ -412,7 +412,12 @@ pub(crate) fn check_out_len(out: &[u64], num_hashes: usize) -> Result<(), Sketch
     }
 }
 
-/// The common interface of all thirteen algorithms.
+/// The common interface of all fifteen algorithms.
+///
+/// Every algorithm comes down to one kernel, [`Self::sketch_codes_into`],
+/// which writes the `D` collision codes of a set; the allocating and batch
+/// entry points are provided on top of it, so no two paths can drift
+/// apart.
 pub trait Sketcher {
     /// Catalog name (matches [`crate::catalog::Algorithm::name`]).
     fn name(&self) -> &'static str;
@@ -424,50 +429,38 @@ pub trait Sketcher {
     /// recorded in every [`Sketch`] it produces).
     fn seed(&self) -> u64;
 
-    /// Sketch a weighted set.
+    /// The sketching kernel: write the `D` codes of `set` into `out` (whose
+    /// length must equal [`Self::num_hashes`]), borrowing any temporary
+    /// buffers from `scratch`.
+    ///
+    /// Every input produces either the codes or a typed [`SketchError`]; no
+    /// panic, no hang, no non-finite output.
     ///
     /// # Errors
+    /// [`SketchError::BadParameter`] for a mis-sized `out`;
     /// [`SketchError::EmptySet`] for empty inputs; algorithm-specific errors
-    /// (e.g. bound violations) as documented on each implementation.
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError>;
-
-    /// The allocation-free sketching kernel: write the `D` codes of `set`
-    /// into `out` (whose length must equal [`Self::num_hashes`]), borrowing
-    /// any temporary buffers from `scratch`.
-    ///
-    /// This is the override point the hot paths are built on: the audited
-    /// algorithms implement their inner loop here once, and `sketch`,
-    /// [`Self::sketch_batch`] and [`Self::sketch_batch_into`] all delegate
-    /// to it, so the three paths cannot drift apart. The codes written are
-    /// *bit-identical* to [`Sketch::codes`] from [`Self::sketch`] — pinned
-    /// by the conformance and determinism suites.
-    ///
-    /// The default materializes through [`Self::sketch`] (allocating), so
-    /// third-party implementations keep working unchanged; only overriding
-    /// kernels are allocation-free.
-    ///
-    /// # Errors
-    /// Exactly those of [`Self::sketch`], plus
-    /// [`SketchError::BadParameter`] for a mis-sized `out`. On error the
-    /// buffer contents are unspecified.
+    /// (e.g. bound violations) as documented on each implementation. On
+    /// error the buffer contents are unspecified.
     fn sketch_codes_into(
         &self,
         set: &WeightedSet,
         out: &mut [u64],
         scratch: &mut SketchScratch,
-    ) -> Result<(), SketchError> {
-        let _ = scratch;
-        check_out_len(out, self.num_hashes())?;
-        let sk = self.sketch(set)?;
-        out.copy_from_slice(&sk.codes);
-        Ok(())
+    ) -> Result<(), SketchError>;
+
+    /// Sketch a weighted set.
+    ///
+    /// # Errors
+    /// Exactly those of [`Self::sketch_codes_into`].
+    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
+        self.sketch_with(set, &mut SketchScratch::new())
     }
 
     /// [`Self::sketch`] with caller-provided scratch: allocates the code
     /// vector (the `Sketch` owns it) but no temporaries.
     ///
     /// # Errors
-    /// Exactly those of [`Self::sketch`].
+    /// Exactly those of [`Self::sketch_codes_into`].
     fn sketch_with(
         &self,
         set: &WeightedSet,
@@ -478,35 +471,14 @@ pub trait Sketcher {
         Ok(Sketch { algorithm: self.name().to_owned(), seed: self.seed(), codes })
     }
 
-    /// Sketch a batch of weighted sets.
-    ///
-    /// The default threads one fresh [`SketchScratch`] through
-    /// [`Self::sketch_with`] per set and stops at the first error, so
-    /// per-call temporary buffers are reused across the whole batch.
-    ///
-    /// Contract: an override must produce sketches *identical* to the
-    /// one-at-a-time path — the parallel sweep's byte-for-byte determinism
-    /// guarantee (`--threads 1` ≡ `--threads N`) depends on it, and the
-    /// conformance suite cross-checks the two paths for every algorithm.
+    /// Sketch a batch of weighted sets, threading one [`SketchScratch`]
+    /// through every set and stopping at the first error.
     ///
     /// # Errors
     /// The first error [`Self::sketch`] would report, in batch order.
     fn sketch_batch(&self, sets: &[WeightedSet]) -> Result<Vec<Sketch>, SketchError> {
-        self.sketch_batch_with(sets, &mut SketchScratch::new())
-    }
-
-    /// [`Self::sketch_batch`] with caller-provided scratch — the sweep
-    /// engines call this so buffer reuse spans *batches*, not just the sets
-    /// within one.
-    ///
-    /// # Errors
-    /// The first error [`Self::sketch`] would report, in batch order.
-    fn sketch_batch_with(
-        &self,
-        sets: &[WeightedSet],
-        scratch: &mut SketchScratch,
-    ) -> Result<Vec<Sketch>, SketchError> {
-        sets.iter().map(|s| self.sketch_with(s, scratch)).collect()
+        let mut scratch = SketchScratch::new();
+        sets.iter().map(|s| self.sketch_with(s, &mut scratch)).collect()
     }
 
     /// Fully allocation-free batch sketching: codes land in a reusable
@@ -530,33 +502,13 @@ pub trait Sketcher {
         }
         Ok(())
     }
-
-    /// The canonical fallible entry point — an explicit alias for
-    /// [`Self::sketch`], named for call sites that want the totality
-    /// contract visible: *every* input produces either a finite sketch or a
-    /// typed [`SketchError`]; no panic, no hang, no non-finite output.
-    ///
-    /// # Errors
-    /// Exactly those of [`Self::sketch`].
-    fn try_sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
-        self.sketch(set)
-    }
-
-    /// Fallible alias for [`Self::sketch_batch`] (see [`Self::try_sketch`]).
-    ///
-    /// # Errors
-    /// Exactly those of [`Self::sketch_batch`].
-    fn try_sketch_batch(&self, sets: &[WeightedSet]) -> Result<Vec<Sketch>, SketchError> {
-        self.sketch_batch(sets)
-    }
 }
 
 /// Boxed sketchers delegate, so a runtime-selected algorithm (the
 /// catalog's `Box<dyn Sketcher + Send + Sync>`) slots into generic
 /// consumers — `wmh_lsh::LshIndex`, the serving layer's shards — exactly
-/// like a concrete one. Only the required methods and the kernel override
-/// point are forwarded; the provided batch paths then route through the
-/// delegated kernel automatically.
+/// like a concrete one. Only the required methods are forwarded; the
+/// provided paths then route through the delegated kernel.
 impl<S: Sketcher + ?Sized> Sketcher for Box<S> {
     fn name(&self) -> &'static str {
         (**self).name()
@@ -568,10 +520,6 @@ impl<S: Sketcher + ?Sized> Sketcher for Box<S> {
 
     fn seed(&self) -> u64 {
         (**self).seed()
-    }
-
-    fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
-        (**self).sketch(set)
     }
 
     fn sketch_codes_into(
@@ -691,8 +639,8 @@ mod tests {
         assert_eq!(b.as_flat(), &[0, 0]);
     }
 
-    /// A minimal sketcher that does NOT override the scratch-based entry
-    /// points — exercises every default-method path in the trait.
+    /// A minimal sketcher that implements only the kernel — exercises
+    /// every provided method in the trait.
     struct ConstSketcher(usize);
 
     impl Sketcher for ConstSketcher {
@@ -708,12 +656,20 @@ mod tests {
             9
         }
 
-        fn sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
+        fn sketch_codes_into(
+            &self,
+            set: &WeightedSet,
+            out: &mut [u64],
+            _scratch: &mut SketchScratch,
+        ) -> Result<(), SketchError> {
+            check_out_len(out, self.0)?;
             if set.is_empty() {
                 return Err(SketchError::EmptySet);
             }
-            let codes = (0..self.0 as u64).map(|d| pack2(d, set.len() as u64)).collect();
-            Ok(Sketch { algorithm: "const".to_owned(), seed: 9, codes })
+            for (d, slot) in out.iter_mut().enumerate() {
+                *slot = pack2(d as u64, set.len() as u64);
+            }
+            Ok(())
         }
     }
 

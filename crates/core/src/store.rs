@@ -30,9 +30,8 @@
 //! └────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Version 1 is the same layout minus `header_crc` and `record_crc`;
-//! [`SketchStore::decode`] still reads it (and [`SketchStore::encode_v1`]
-//! still writes it, for migration tests and old consumers).
+//! Any other version — including the checksum-less v1 layout — is refused
+//! with [`StoreError::UnsupportedVersion`].
 //!
 //! # Robustness contract
 //!
@@ -58,7 +57,6 @@ use std::path::Path;
 use wmh_hash::crc32c::crc32c;
 
 const MAGIC: &[u8; 4] = b"WMHS";
-const VERSION_V1: u32 = 1;
 const VERSION: u32 = 2;
 /// Upper bound on the algorithm-name field, to reject absurd headers
 /// before allocating.
@@ -202,14 +200,13 @@ impl<'a> Reader<'a> {
 
 /// Parsed, validated store header plus where the record region starts.
 struct Header {
-    version: u32,
     algorithm: String,
     seed: u64,
     num_hashes: usize,
     count: usize,
     /// Byte offset of the first record.
     records_at: usize,
-    /// Bytes each record occupies in this version.
+    /// Bytes each record occupies: id, codes and CRC.
     record_size: usize,
 }
 
@@ -219,7 +216,7 @@ fn parse_header(bytes: &[u8]) -> Result<Header, StoreError> {
         return Err(StoreError::Corrupt("bad magic"));
     }
     let version = r.u32_le("version")?;
-    if version != VERSION_V1 && version != VERSION {
+    if version != VERSION {
         return Err(StoreError::UnsupportedVersion(version));
     }
     let alg_len = r.u32_le("algorithm length")? as usize;
@@ -230,39 +227,32 @@ fn parse_header(bytes: &[u8]) -> Result<Header, StoreError> {
     let seed = r.u64_le("header seed")?;
     let num_hashes = r.u32_le("header num_hashes")? as usize;
     let count = r.u32_le("header count")? as usize;
-    // Integrity before semantics: on v2 a corrupted header must surface as
-    // a checksum mismatch, not as whatever the garbage decodes to.
-    if version >= VERSION {
-        let crc_at = r.pos;
-        let stored = r.u32_le("header checksum")?;
-        let computed = crc32c(&bytes[..crc_at]);
-        if stored != computed {
-            return Err(StoreError::ChecksumMismatch {
-                what: "header",
-                index: 0,
-                expected: stored,
-                got: computed,
-            });
-        }
+    // Integrity before semantics: a corrupted header must surface as a
+    // checksum mismatch, not as whatever the garbage decodes to.
+    let crc_at = r.pos;
+    let stored = r.u32_le("header checksum")?;
+    let computed = crc32c(&bytes[..crc_at]);
+    if stored != computed {
+        return Err(StoreError::ChecksumMismatch {
+            what: "header",
+            index: 0,
+            expected: stored,
+            got: computed,
+        });
     }
     let algorithm =
         String::from_utf8(alg).map_err(|_| StoreError::Corrupt("algorithm not utf-8"))?;
-    // Per-record size: id + D codes (+ trailing CRC in v2). Checked — both
-    // factors come from untrusted input.
-    let payload = num_hashes
+    // Per-record size: id + D codes + trailing CRC. Checked — the factor
+    // comes from untrusted input.
+    let record_size = num_hashes
         .checked_mul(8)
-        .and_then(|n| n.checked_add(8))
+        .and_then(|n| n.checked_add(8 + 4))
         .ok_or(StoreError::Corrupt("record size overflow"))?;
-    let record_size = if version >= VERSION {
-        payload.checked_add(4).ok_or(StoreError::Corrupt("record size overflow"))?
-    } else {
-        payload
-    };
-    Ok(Header { version, algorithm, seed, num_hashes, count, records_at: r.pos, record_size })
+    Ok(Header { algorithm, seed, num_hashes, count, records_at: r.pos, record_size })
 }
 
-/// Parse one record at `at`. Returns `(id, codes_bytes)` with the CRC
-/// (v2) already verified.
+/// Parse one record at `at`. Returns `(id, codes)` with the CRC already
+/// verified.
 fn parse_record(
     bytes: &[u8],
     h: &Header,
@@ -272,22 +262,20 @@ fn parse_record(
     let mut r = Reader::new(&bytes[at..]);
     let payload_len = 8 + h.num_hashes * 8;
     let payload = r.take(h.record_size, "record")?;
-    if h.version >= VERSION {
-        let stored = u32::from_le_bytes([
-            payload[payload_len],
-            payload[payload_len + 1],
-            payload[payload_len + 2],
-            payload[payload_len + 3],
-        ]);
-        let computed = crc32c(&payload[..payload_len]);
-        if stored != computed {
-            return Err(StoreError::ChecksumMismatch {
-                what: "record",
-                index,
-                expected: stored,
-                got: computed,
-            });
-        }
+    let stored = u32::from_le_bytes([
+        payload[payload_len],
+        payload[payload_len + 1],
+        payload[payload_len + 2],
+        payload[payload_len + 3],
+    ]);
+    let computed = crc32c(&payload[..payload_len]);
+    if stored != computed {
+        return Err(StoreError::ChecksumMismatch {
+            what: "record",
+            index,
+            expected: stored,
+            got: computed,
+        });
     }
     let mut pr = Reader::new(&payload[..payload_len]);
     let id = pr.u64_le("record id")?;
@@ -404,9 +392,9 @@ impl SketchStore {
         Ok(sa.try_estimate_similarity(&sb).expect("stored sketches share provenance"))
     }
 
-    fn encode_header(&self, version: u32, buf: &mut Vec<u8>) {
+    fn encode_header(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&version.to_le_bytes());
+        buf.extend_from_slice(&VERSION.to_le_bytes());
         buf.extend_from_slice(&(self.algorithm.len() as u32).to_le_bytes());
         buf.extend_from_slice(self.algorithm.as_bytes());
         buf.extend_from_slice(&self.seed.to_le_bytes());
@@ -419,7 +407,7 @@ impl SketchStore {
     pub fn encode(&self) -> Vec<u8> {
         let record = 8 + self.num_hashes * 8 + 4;
         let mut buf = Vec::with_capacity(32 + self.algorithm.len() + self.ids.len() * record);
-        self.encode_header(VERSION, &mut buf);
+        self.encode_header(&mut buf);
         let crc = crc32c(&buf);
         buf.extend_from_slice(&crc.to_le_bytes());
         for (pos, &id) in self.ids.iter().enumerate() {
@@ -435,30 +423,13 @@ impl SketchStore {
         buf
     }
 
-    /// Encode to the legacy v1 format (no checksums) — kept so migration
-    /// paths and old readers stay testable.
-    #[must_use]
-    pub fn encode_v1(&self) -> Vec<u8> {
-        let record = 8 + self.num_hashes * 8;
-        let mut buf = Vec::with_capacity(28 + self.algorithm.len() + self.ids.len() * record);
-        self.encode_header(VERSION_V1, &mut buf);
-        for (pos, &id) in self.ids.iter().enumerate() {
-            buf.extend_from_slice(&id.to_le_bytes());
-            let start = pos * self.num_hashes;
-            for &code in &self.codes[start..start + self.num_hashes] {
-                buf.extend_from_slice(&code.to_le_bytes());
-            }
-        }
-        buf
-    }
-
-    /// Decode from the binary format (v1 or v2; v2 verifies all CRCs).
+    /// Decode from the binary format, verifying every CRC.
     ///
     /// Total over arbitrary input: every failure mode is a typed error.
     ///
     /// # Errors
     /// [`StoreError::Corrupt`] for malformed input,
-    /// [`StoreError::UnsupportedVersion`] for future versions,
+    /// [`StoreError::UnsupportedVersion`] for any version but 2,
     /// [`StoreError::ChecksumMismatch`] when stored CRCs disagree with
     /// the payload bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
@@ -492,7 +463,7 @@ impl SketchStore {
 
     /// Recover as many valid records as possible from a damaged buffer.
     ///
-    /// The header must parse (and, for v2, pass its CRC) — a store whose
+    /// The header must parse and pass its CRC — a store whose
     /// header is gone is unrecoverable without out-of-band provenance.
     /// Records are then read in order until the first truncated or
     /// checksum-failing record; everything before it becomes the returned
@@ -679,14 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_roundtrip_still_decodes() {
-        let store = filled_store();
-        let bytes = store.encode_v1();
-        let back = SketchStore::decode(&bytes).expect("decode v1");
-        assert_eq!(store, back);
-    }
-
-    #[test]
     fn decode_rejects_corruption() {
         let (_, items) = sketches();
         let mut store = SketchStore::new();
@@ -745,6 +708,23 @@ mod tests {
         ));
     }
 
+    /// A bare header with an empty algorithm name and no records behind
+    /// it; `with_crc` appends the v2 header checksum.
+    fn raw_header(version: u32, num_hashes: u32, count: u32, with_crc: bool) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // alg_len
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // seed
+        bytes.extend_from_slice(&num_hashes.to_le_bytes());
+        bytes.extend_from_slice(&count.to_le_bytes());
+        if with_crc {
+            let crc = crc32c(&bytes);
+            bytes.extend_from_slice(&crc.to_le_bytes());
+        }
+        bytes
+    }
+
     #[test]
     fn future_version_is_refused() {
         let store = filled_store();
@@ -754,18 +734,23 @@ mod tests {
     }
 
     #[test]
+    fn v1_store_is_refused() {
+        // An empty store in the checksum-less v1 layout.
+        let bytes = raw_header(1, 32, 0, false);
+        assert_eq!(SketchStore::decode(&bytes), Err(StoreError::UnsupportedVersion(1)));
+        assert_eq!(SketchStore::salvage(&bytes).err(), Some(StoreError::UnsupportedVersion(1)));
+    }
+
+    #[test]
     fn huge_claimed_counts_do_not_allocate_or_panic() {
-        // Header claiming u32::MAX hashes and records with no record
-        // bytes behind it. Regression test: the v1 decoder computed
-        // `count * num_hashes` unchecked, which can overflow.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION_V1.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // alg_len
-        bytes.extend_from_slice(&0u64.to_le_bytes()); // seed
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // num_hashes
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // count
-        assert!(SketchStore::decode(&bytes).is_err());
+        // A checksum-valid header claiming u32::MAX hashes and records with
+        // no record bytes behind it: `count × record_size` overflows and
+        // must be caught before anything is allocated.
+        let bytes = raw_header(VERSION, u32::MAX, u32::MAX, true);
+        assert_eq!(SketchStore::decode(&bytes), Err(StoreError::Corrupt("record region overflow")));
+        let (salvaged, report) = SketchStore::salvage(&bytes).expect("header intact");
+        assert!(salvaged.is_empty());
+        assert_eq!(report.first_error, Some(StoreError::Corrupt("record")));
     }
 
     #[test]

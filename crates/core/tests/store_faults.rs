@@ -4,14 +4,14 @@
 //! target holds either the old contents or the new ones, and no temp file
 //! survives. These tests drive every failpoint in the save path and check
 //! that promise, then tear the destination with a short write (the
-//! lying-fsync model) and verify the salvage + [`RecoveryReport`] path
-//! recovers the prefix — including through the v1 back-compat decoder.
+//! lying-fsync model) and verify the salvage + `RecoveryReport` path
+//! recovers the prefix.
 
 use std::path::PathBuf;
 
 use wmh_core::cws::Icws;
 use wmh_core::sketch::Sketcher as _;
-use wmh_core::store::{RecoveryReport, SketchStore, StoreError};
+use wmh_core::store::{SketchStore, StoreError};
 use wmh_sets::WeightedSet;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -81,7 +81,7 @@ fn fail_once_then_retry_recovers() {
 
 /// A short write that "succeeds" (lying fsync) leaves a torn destination;
 /// the total decoder refuses it and salvage recovers the record prefix
-/// with an honest [`RecoveryReport`].
+/// with an honest `RecoveryReport`.
 #[test]
 fn short_write_is_salvageable() {
     let dir = scratch("torn");
@@ -105,34 +105,6 @@ fn short_write_is_salvageable() {
         assert_eq!(partial.get(id).expect("recovered"), store.get(id).expect("original"));
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The same torn-tail treatment for the v1 (checksum-free) format: the
-/// decoder must stay total and salvage must still recover whole records.
-#[test]
-fn v1_decoder_stays_total_on_torn_input() {
-    let store = filled_store(6);
-    let bytes = store.encode_v1();
-    for cut in 0..bytes.len() {
-        let torn = &bytes[..cut];
-        // Total: typed error or a valid store, never a panic.
-        let _ = SketchStore::decode(torn);
-        // Salvage of any prefix long enough to hold the header recovers
-        // only whole records, each identical to the original.
-        if let Ok((partial, report)) = SketchStore::salvage(torn) {
-            assert!(report.recovered <= 6);
-            for &id in partial.ids() {
-                assert_eq!(partial.get(id).expect("rec"), store.get(id).expect("orig"));
-            }
-        }
-    }
-    // A fault-free encode salvages completely.
-    let (full, report) = SketchStore::salvage(&bytes).expect("clean v1");
-    assert_eq!(full, store);
-    assert_eq!(
-        report,
-        RecoveryReport { recovered: 6, expected: 6, bytes_discarded: 0, first_error: None }
-    );
 }
 
 /// With no scenario active, failpoints are invisible: saves succeed and

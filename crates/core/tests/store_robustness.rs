@@ -52,17 +52,14 @@ fn decode_is_total_behind_a_valid_magic() {
     });
 }
 
-/// encode → decode is the identity, for both format versions.
+/// encode → decode is the identity.
 #[test]
-fn encode_decode_identity_v1_and_v2() {
+fn encode_decode_identity() {
     run_cases(128, |g| {
         let store = sample_store(g, 8, 48);
-        let v2 =
-            SketchStore::decode(&store.encode()).map_err(|e| format!("v2 decode failed: {e}"))?;
-        ensure!(v2 == store, "v2 roundtrip changed the store");
-        let v1 = SketchStore::decode(&store.encode_v1())
-            .map_err(|e| format!("v1 decode failed: {e}"))?;
-        ensure!(v1 == store, "v1 roundtrip changed the store");
+        let back =
+            SketchStore::decode(&store.encode()).map_err(|e| format!("decode failed: {e}"))?;
+        ensure!(back == store, "roundtrip changed the store");
         Ok(())
     });
 }

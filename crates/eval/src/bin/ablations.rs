@@ -37,18 +37,4 @@ fn main() {
     }
     println!("{}", t.to_markdown());
     let _ = save_json(dir, "ablation_bbit", &rows);
-
-    println!("Ablation 5 — fast-math ICWS profile (polynomial ln/exp vs libm)\n");
-    let rows = ablations::fastmath_ablation(seed, &[64, 128, 256, 1024]);
-    let mut t = Table::new(["D", "exact MSE", "fast MSE", "max estimate gap"]);
-    for r in &rows {
-        t.row([
-            r.d.to_string(),
-            fmt_value(r.exact_mse),
-            fmt_value(r.fast_mse),
-            fmt_value(r.max_estimate_gap),
-        ]);
-    }
-    println!("{}", t.to_markdown());
-    let _ = save_json(dir, "ablation_fastmath", &rows);
 }

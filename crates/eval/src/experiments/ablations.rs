@@ -7,13 +7,10 @@
 //! 3. **Small-D advantage of I²CWS** — the §6.3 remark that its gain
 //!    "is clear in the case of small D";
 //! 4. **b-bit truncation** — storage/accuracy trade-off of the §1
-//!    extension;
-//! 5. **Fast-math ICWS** — MSE of the polynomial ln/exp profile vs the
-//!    exact libm closed form across `D` (the error budget behind the
-//!    opt-in `fast-math` knob).
+//!    extension.
 
 use crate::report::{fmt_value, Table};
-use wmh_core::cws::{Ccws, CcwsPairing, I2cws, Icws, MathProfile};
+use wmh_core::cws::{Ccws, CcwsPairing, I2cws, Icws};
 use wmh_core::extensions::BbitSketch;
 use wmh_core::quantization::Haveliwala;
 use wmh_core::Sketcher;
@@ -173,53 +170,6 @@ pub fn bbit_ablation(seed: u64, bits: &[u8]) -> Vec<BbitRow> {
         .collect()
 }
 
-/// Ablation 5 row: exact vs fast-math ICWS at one fingerprint length.
-#[derive(Debug, Clone)]
-pub struct FastMathRow {
-    /// Fingerprint length.
-    pub d: usize,
-    /// MSE of the exact (libm) profile against generalized Jaccard.
-    pub exact_mse: f64,
-    /// MSE of the polynomial `FastPoly` profile.
-    pub fast_mse: f64,
-    /// Largest per-pair gap between the two profiles' estimates.
-    pub max_estimate_gap: f64,
-}
-
-wmh_json::json_object!(FastMathRow { d, exact_mse, fast_mse, max_estimate_gap });
-
-/// Ablation 5: the fast-math error budget in estimator terms. The ~1e-9
-/// relative ln/exp error flips an argmin only when two hash values nearly
-/// tie, so the per-pair estimate gap stays within a few code flips of zero
-/// and the MSEs track each other.
-#[must_use]
-pub fn fastmath_ablation(seed: u64, d_values: &[usize]) -> Vec<FastMathRow> {
-    let (docs, pairs, truths) = workload(40, 1_500, seed);
-    d_values
-        .iter()
-        .map(|&d| {
-            let exact = Icws::new(seed, d);
-            let fast = Icws::with_math_profile(seed, d, MathProfile::FastPoly);
-            let sk_exact: Vec<_> =
-                docs.iter().map(|s| exact.sketch(s).expect("sketchable")).collect();
-            let sk_fast: Vec<_> =
-                docs.iter().map(|s| fast.sketch(s).expect("sketchable")).collect();
-            let est_exact: Vec<f64> =
-                pairs.iter().map(|&(i, j)| sk_exact[i].estimate_similarity(&sk_exact[j])).collect();
-            let est_fast: Vec<f64> =
-                pairs.iter().map(|&(i, j)| sk_fast[i].estimate_similarity(&sk_fast[j])).collect();
-            let max_gap =
-                est_exact.iter().zip(&est_fast).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
-            FastMathRow {
-                d,
-                exact_mse: mse(&est_exact, &truths),
-                fast_mse: mse(&est_fast, &truths),
-                max_estimate_gap: max_gap,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,30 +218,5 @@ mod tests {
         assert!(rows[0].bytes < rows[1].bytes && rows[1].bytes < rows[2].bytes);
         // More bits → no worse accuracy (allowing small noise).
         assert!(rows[2].mse <= rows[0].mse + 0.002);
-    }
-
-    #[test]
-    fn fastmath_tracks_exact_within_budget() {
-        let rows = fastmath_ablation(7, &[64, 256]);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.exact_mse.is_finite() && r.fast_mse.is_finite());
-            // The polynomial profile flips at most a handful of the D
-            // argmins, so per-pair estimates differ by a few codes at most
-            // and the MSEs stay within noise of each other.
-            assert!(
-                r.max_estimate_gap <= 8.0 / r.d as f64,
-                "D={}: gap {}",
-                r.d,
-                r.max_estimate_gap
-            );
-            assert!(
-                (r.fast_mse - r.exact_mse).abs() <= 0.5 * r.exact_mse + 1e-4,
-                "D={}: exact {} vs fast {}",
-                r.d,
-                r.exact_mse,
-                r.fast_mse
-            );
-        }
     }
 }

@@ -409,15 +409,13 @@ pub(crate) fn estimate_prefix(a: &Sketch, b: &Sketch, d: usize) -> f64 {
     hits as f64 / d as f64
 }
 
-/// Documents per `Sketcher::sketch_batch` call: large enough to amortize
-/// the batch path's hoisted setup, small enough that the wall-clock
-/// deadline is still checked frequently.
+/// Documents sketched between two checks of the wall-clock deadline.
 const SKETCH_CHUNK: usize = 16;
 
 /// Sketch every listed document; `Ok(None)` marks a budget timeout —
 /// either the rejection budget (reported by the sketcher) or the
 /// wall-clock `deadline` (checked between chunks). The caller-provided
-/// [`SketchScratch`] is threaded through every chunk, so the kernels'
+/// [`SketchScratch`] is threaded through every document, so the kernels'
 /// temporary buffers are reused across the whole document list (and, when
 /// the caller keeps the scratch, across cells).
 pub(crate) fn sketch_docs(
@@ -431,13 +429,15 @@ pub(crate) fn sketch_docs(
         if deadline.is_some_and(|t| Instant::now() >= t) {
             return Ok(None);
         }
-        match sketcher.sketch_batch_with(chunk, scratch) {
-            Ok(mut s) => out.append(&mut s),
-            // A spent budget (rejection draws, subelement enumeration) is
-            // the paper's cutoff, not a configuration mistake: mark the
-            // cell timed out and keep the sweep going.
-            Err(SketchError::BudgetExhausted { .. }) => return Ok(None),
-            Err(e) => return Err(e),
+        for doc in chunk {
+            match sketcher.sketch_with(doc, scratch) {
+                Ok(s) => out.push(s),
+                // A spent budget (rejection draws, subelement enumeration)
+                // is the paper's cutoff, not a configuration mistake: mark
+                // the cell timed out and keep the sweep going.
+                Err(SketchError::BudgetExhausted { .. }) => return Ok(None),
+                Err(e) => return Err(e),
+            }
         }
     }
     Ok(Some(out))

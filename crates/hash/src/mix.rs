@@ -48,43 +48,6 @@ pub fn combine(a: u64, b: u64) -> u64 {
     splitmix64(x ^ (x >> 29))
 }
 
-/// Lane-parallel [`splitmix64`]: finalize every word of `lanes` in place.
-///
-/// Each lane is the *identical* scalar arithmetic, just laid out as a
-/// straight-line loop over a contiguous slice so the compiler can
-/// autovectorize the mul/shift/xor chain (4–8 lanes per vector register).
-/// Bit-for-bit equal to mapping [`splitmix64`] over the slice.
-#[inline]
-pub fn splitmix64_lanes(lanes: &mut [u64]) {
-    for z in lanes {
-        *z = splitmix64(*z);
-    }
-}
-
-/// Lane-parallel [`fmix64`]: finalize every word of `lanes` in place.
-///
-/// Bit-for-bit equal to mapping [`fmix64`] over the slice; the loop body is
-/// branch-free so it autovectorizes.
-#[inline]
-pub fn fmix64_lanes(lanes: &mut [u64]) {
-    for k in lanes {
-        *k = fmix64(*k);
-    }
-}
-
-/// Lane-parallel [`combine`]: `out[i] = combine(prefix, keys[i])`.
-///
-/// The sketching kernels hoist `prefix = combine(combine(state, role), d)`
-/// out of their inner loops and finish each draw with this one-combine
-/// completion; the results are bit-identical to the full scalar chain
-/// because only the loop structure changes, never the per-value arithmetic.
-#[inline]
-pub fn combine_lanes(prefix: u64, keys: &[u64], out: &mut [u64]) {
-    for (o, &k) in out.iter_mut().zip(keys) {
-        *o = combine(prefix, k);
-    }
-}
-
 /// Mix a whole slice of words into one word (order-sensitive).
 #[inline]
 #[must_use]
@@ -169,29 +132,5 @@ mod tests {
     #[test]
     fn constants_are_odd() {
         assert_eq!(GOLDEN_GAMMA & 1, 1);
-    }
-
-    #[test]
-    fn lane_finalizers_match_scalar() {
-        let keys: Vec<u64> = (0..257u64).map(|i| splitmix64(i ^ 0xABCD)).collect();
-        let mut sm = keys.clone();
-        splitmix64_lanes(&mut sm);
-        let mut fm = keys.clone();
-        fmix64_lanes(&mut fm);
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(sm[i], splitmix64(k), "splitmix lane {i}");
-            assert_eq!(fm[i], fmix64(k), "fmix lane {i}");
-        }
-    }
-
-    #[test]
-    fn combine_lanes_matches_scalar_chain() {
-        let prefix = combine(combine(0x5EED, 0x01), 7);
-        let keys: Vec<u64> = (0..100u64).collect();
-        let mut out = vec![0u64; keys.len()];
-        combine_lanes(prefix, &keys, &mut out);
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(out[i], combine(prefix, k));
-        }
     }
 }

@@ -161,8 +161,8 @@ impl SeededHash {
 /// final word, produced by [`SeededHash::prefix1`]/[`SeededHash::prefix2`].
 ///
 /// Finishing with the last word reproduces the corresponding `hashN` chain
-/// bit for bit — this is the lane-parallel batched entry point the
-/// vectorized sketching kernels are built on.
+/// bit for bit — the vectorized sketching kernels hoist one prefix per
+/// `(role, d)` and finish it per element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashPrefix {
     acc: u64,
@@ -189,26 +189,6 @@ impl HashPrefix {
     #[must_use]
     pub fn finish_unit(self, w: u64) -> f64 {
         to_unit_open(self.finish(w))
-    }
-
-    /// Lane-parallel finish: `out[i] = finish(keys[i])`.
-    ///
-    /// Processes the whole key slice in one branch-free pass so the combine
-    /// and finalizer arithmetic autovectorizes 4/8 lanes at a time. Only the
-    /// shorter of the two slices is written.
-    #[inline]
-    pub fn finish_lanes(self, keys: &[u64], out: &mut [u64]) {
-        for (o, &k) in out.iter_mut().zip(keys) {
-            *o = fmix64(combine(self.acc, k));
-        }
-    }
-
-    /// Lane-parallel finish into uniform `f64` lanes in `(0, 1)`.
-    #[inline]
-    pub fn finish_unit_lanes(self, keys: &[u64], out: &mut [f64]) {
-        for (o, &k) in out.iter_mut().zip(keys) {
-            *o = to_unit_open(fmix64(combine(self.acc, k)));
-        }
     }
 }
 
@@ -442,21 +422,6 @@ mod tests {
                     assert_eq!(h.prefix2(a, b).push(c).finish(0), h.hash4(a, b, c, 0));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn prefix_lanes_match_scalar_finish() {
-        let h = SeededHash::new(42);
-        let p = h.prefix2(0x0A, 17);
-        let keys: Vec<u64> = (0..300u64).map(|k| k.wrapping_mul(0x9E37)).collect();
-        let mut words = vec![0u64; keys.len()];
-        p.finish_lanes(&keys, &mut words);
-        let mut units = vec![0.0f64; keys.len()];
-        p.finish_unit_lanes(&keys, &mut units);
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(words[i], h.hash3(0x0A, 17, k), "lane {i}");
-            assert_eq!(units[i].to_bits(), h.unit3(0x0A, 17, k).to_bits(), "unit lane {i}");
         }
     }
 

@@ -50,19 +50,6 @@ impl TabulationHash {
             ^ self.tables[6][b[6] as usize]
             ^ self.tables[7][b[7] as usize]
     }
-
-    /// Lane-parallel [`Self::hash`]: `out[i] = hash(keys[i])`.
-    ///
-    /// The gather-heavy table lookups don't vectorize, but batching them
-    /// over a contiguous key slice keeps all eight tables hot in L1 and
-    /// lets the loads of independent keys overlap. Bit-identical to the
-    /// scalar map; only the shorter of the two slices is written.
-    #[inline]
-    pub fn hash_lanes(&self, keys: &[u64], out: &mut [u64]) {
-        for (o, &k) in out.iter_mut().zip(keys) {
-            *o = self.hash(k);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -85,18 +72,6 @@ mod tests {
         let t = TabulationHash::new(&SeededHash::new(77), 0);
         let outs: HashSet<u64> = (0..100_000u64).map(|k| t.hash(k)).collect();
         assert_eq!(outs.len(), 100_000);
-    }
-
-    #[test]
-    fn hash_lanes_matches_scalar() {
-        let t = TabulationHash::new(&SeededHash::new(6), 2);
-        let keys: Vec<u64> =
-            (0..200u64).map(|i| i.wrapping_mul(0xDEAD_BEEF_CAFE_F00D)).chain([u64::MAX]).collect();
-        let mut out = vec![0u64; keys.len()];
-        t.hash_lanes(&keys, &mut out);
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(out[i], t.hash(k), "lane {i}");
-        }
     }
 
     #[test]

@@ -103,18 +103,6 @@ impl MersennePermutation {
         add_mod_m61(mul_mod_m61(self.a, i), self.b)
     }
 
-    /// Lane-parallel [`Self::apply`]: `out[i] = apply(keys[i])`.
-    ///
-    /// One branch-free pass over contiguous lanes (the conditional
-    /// reductions compile to masked subtracts), bit-identical to the scalar
-    /// map. Only the shorter of the two slices is written.
-    #[inline]
-    pub fn apply_lanes(&self, keys: &[u64], out: &mut [u64]) {
-        for (o, &i) in out.iter_mut().zip(keys) {
-            *o = self.apply(i);
-        }
-    }
-
     /// The multiplier `a`.
     #[must_use]
     pub fn a(&self) -> u64 {
@@ -192,18 +180,6 @@ mod tests {
         let a = MersennePermutation::new(&SeededHash::new(3), 7);
         let b = MersennePermutation::new(&SeededHash::new(3), 7);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn apply_lanes_matches_scalar() {
-        let p = MersennePermutation::new(&SeededHash::new(11), 3);
-        let keys: Vec<u64> =
-            (0..200u64).map(|i| i.wrapping_mul(0x1234_5678_9ABC_DEF1)).chain([u64::MAX]).collect();
-        let mut out = vec![0u64; keys.len()];
-        p.apply_lanes(&keys, &mut out);
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(out[i], p.apply(k), "lane {i}");
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use wmh_core::cws::{Icws, ZeroBitCws};
 use wmh_core::extensions::OnePermutationHasher;
-use wmh_core::Sketcher;
+use wmh_core::{SketchError, SketchScratch, Sketcher};
 use wmh_data::text::TextConfig;
 use wmh_ml::SketchClassifier;
 use wmh_sets::WeightedSet;
@@ -47,8 +47,13 @@ fn icws_codes_also_work_as_features() {
         fn seed(&self) -> u64 {
             self.0.seed()
         }
-        fn sketch(&self, set: &WeightedSet) -> Result<wmh_core::Sketch, wmh_core::SketchError> {
-            self.0.sketch(set)
+        fn sketch_codes_into(
+            &self,
+            set: &WeightedSet,
+            out: &mut [u64],
+            scratch: &mut SketchScratch,
+        ) -> Result<(), SketchError> {
+            self.0.sketch_codes_into(set, out, scratch)
         }
     }
     let mut clf =
@@ -93,8 +98,14 @@ fn oph_features_degrade_gracefully_on_weight_heavy_topics() {
         fn seed(&self) -> u64 {
             7
         }
-        fn sketch(&self, set: &WeightedSet) -> Result<wmh_core::Sketch, wmh_core::SketchError> {
-            self.0.sketch(set)
+        fn sketch_codes_into(
+            &self,
+            set: &WeightedSet,
+            out: &mut [u64],
+            _scratch: &mut SketchScratch,
+        ) -> Result<(), SketchError> {
+            out.copy_from_slice(&self.0.sketch(set)?.codes);
+            Ok(())
         }
     }
 }

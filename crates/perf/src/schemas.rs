@@ -118,15 +118,6 @@ fn ablation_small_d() -> Schema {
     ]))
 }
 
-fn ablation_fastmath() -> Schema {
-    Schema::array(Schema::object(vec![
-        ("d", Schema::UInt),
-        ("exact_mse", Schema::Number),
-        ("fast_mse", Schema::Number),
-        ("max_estimate_gap", Schema::Number),
-    ]))
-}
-
 fn bias_study() -> Schema {
     Schema::array(Schema::object(vec![
         ("algorithm", Schema::Str),
@@ -251,7 +242,6 @@ pub fn schema_for(file_name: &str) -> Option<Schema> {
     match file_name {
         "ablation_bbit.json" => Some(ablation_bbit()),
         "ablation_ccws_pairing.json" => Some(ablation_ccws_pairing()),
-        "ablation_fastmath.json" => Some(ablation_fastmath()),
         "ablation_quantization.json" => Some(ablation_quantization()),
         "ablation_small_d.json" => Some(ablation_small_d()),
         "bias_study.json" => Some(bias_study()),

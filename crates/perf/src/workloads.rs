@@ -227,7 +227,7 @@ fn hash_filtered(opts: &BenchOptions, keep: &dyn Fn(&str) -> bool) -> Vec<BenchR
         ("hash/hash_words5_x256", |h, k| h.hash_words(&[k, 1, 2, 3, 4])),
         ("hash/unit3_x256", |h, k| h.unit3(3, 7, k).to_bits()),
     ];
-    let mut out: Vec<BenchResult> = kernels
+    kernels
         .iter()
         .filter(|(id, _)| keep(id))
         .map(|(id, kernel)| {
@@ -241,23 +241,7 @@ fn hash_filtered(opts: &BenchOptions, keep: &dyn Fn(&str) -> bool) -> Vec<BenchR
             progress(&result);
             result
         })
-        .collect();
-
-    // The lane-parallel counterpart of `unit3_x256`: one hoisted prefix,
-    // 256 contiguous unit draws. The gap between the two ids is the win the
-    // vectorized sketch kernels bank on.
-    let lane_id = "hash/unit_lanes_x256";
-    if keep(lane_id) {
-        let keys: Vec<u64> = (0..CALLS).collect();
-        let mut units = vec![0.0f64; keys.len()];
-        let result = bench(lane_id, "hash", opts, || {
-            oracle.prefix2(3, 7).finish_unit_lanes(black_box(&keys), &mut units);
-            black_box(units.as_slice());
-        });
-        progress(&result);
-        out.push(result);
-    }
-    out
+        .collect()
 }
 
 /// Zero-allocation batch path vs the allocating convenience path, for the
@@ -364,7 +348,7 @@ mod tests {
     #[test]
     fn hash_and_batch_suites_produce_results() {
         let opts = smoke_opts();
-        assert_eq!(hash_workloads(&opts).len(), 5);
+        assert_eq!(hash_workloads(&opts).len(), 4);
         let batch = batch_workloads(Profile::Quick, &opts);
         assert_eq!(batch.len(), 6);
         assert!(batch.iter().all(|r| r.median_ns > 0.0));

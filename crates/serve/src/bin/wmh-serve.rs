@@ -31,7 +31,7 @@
 //!   report the perf gate checks.
 //! * `check-report` — validate a report file's schema and arithmetic
 //!   invariants (outcome counts must sum to requests issued).
-//! * `wal-info` — offline inspection of a WAL directory (or legacy file):
+//! * `wal-info` — offline inspection of a WAL directory:
 //!   per-segment generations, record counts, torn bytes, and snapshot
 //!   inventory. Exits 2 — distinctly from usage errors — when any sealed
 //!   segment or snapshot is damaged, so scripts can gate on it.

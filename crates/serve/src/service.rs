@@ -444,8 +444,7 @@ impl Service {
 
     /// Open a *mutable* service: everything [`Service::from_store`] does,
     /// plus a write-ahead log at `wal_path` — a *directory* of
-    /// generation-numbered segments and snapshots (a legacy single-file
-    /// log at that path is migrated in place). Recovery restores the
+    /// generation-numbered segments and snapshots. Recovery restores the
     /// newest verifiable snapshot, then replays only the WAL segments the
     /// snapshot does not subsume — after a crash the service state is
     /// byte-identical to the acknowledged pre-crash state. The store is
@@ -501,8 +500,8 @@ impl Service {
             Some(path) => {
                 let provenance = provenance_of(store);
                 // Snapshot first: it decides the replay floor. A path
-                // that is not a directory yet (fresh service, or a legacy
-                // single-file log awaiting migration) has no snapshots.
+                // that is not a directory yet (fresh service) has no
+                // snapshots.
                 let (loaded, rejected) = if path.is_dir() {
                     snapshot::load_latest(path, &provenance)
                         .map_err(|e| ServiceError::Wal(format!("loading snapshots: {e}")))?

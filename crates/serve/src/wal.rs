@@ -9,9 +9,7 @@
 //!
 //! ## On-disk layout
 //!
-//! A WAL is a *directory* of generation-stamped segment files (a legacy
-//! single-file WAL from before segmentation is migrated in place, crash-
-//! safely, on first open):
+//! A WAL is a *directory* of generation-stamped segment files:
 //!
 //! ```text
 //! <dir>/wal-<generation:016x>.seg      one segment per generation
@@ -28,10 +26,9 @@
 //! The first frame is always a *provenance* record binding the log to one
 //! `(algorithm, seed, D)` — a WAL replayed against the wrong store would
 //! silently poison every index, so the binding is checked on every open.
-//! The second frame of a post-segmentation segment stamps its generation
-//! (cross-checked against the filename; absent only in migrated legacy
-//! segments, which are generation 0 by construction). Subsequent frames
-//! are mutations, `kind`-tagged in their first byte:
+//! The second frame stamps the segment's generation (cross-checked against
+//! the filename). Subsequent frames are mutations, `kind`-tagged in their
+//! first byte:
 //!
 //! ```text
 //! kind 0  provenance  [seed u64] [D u32] [name_len u32] [name bytes]
@@ -305,9 +302,19 @@ pub struct Wal {
 enum HeaderIssue {
     /// The header is a truncated prefix — a crash mid-create.
     Torn,
-    /// The header is present but wrong (foreign magic, provenance
-    /// mismatch, generation mismatch).
+    /// The header is present but wrong (foreign magic, undecodable
+    /// provenance, generation mismatch).
     Fatal(WalError),
+}
+
+impl HeaderIssue {
+    /// The error this issue is on a segment that must be readable.
+    fn into_error(self) -> WalError {
+        match self {
+            Self::Torn => WalError::Corrupt("provenance frame missing or torn".into()),
+            Self::Fatal(e) => e,
+        }
+    }
 }
 
 impl Wal {
@@ -316,13 +323,10 @@ impl Wal {
     /// (the generation of the snapshot recovery starts from; 0 replays
     /// everything present).
     ///
-    /// A legacy single-file WAL at `path` is migrated into a directory
-    /// first (crash-safely: the staging directory is re-adopted if a
-    /// previous migration was interrupted). Existing segments are verified
-    /// (magic + provenance + stamped generation), live ones replayed into
-    /// the returned `Vec` in log order, and any torn tail of the last
-    /// segment rewound; a fresh directory gets a generation-0 segment
-    /// written and fsynced.
+    /// Existing segments are verified (magic + provenance + stamped
+    /// generation), live ones replayed into the returned `Vec` in log
+    /// order, and any torn tail of the last segment rewound; a fresh
+    /// directory gets a generation-0 segment written and fsynced.
     ///
     /// # Errors
     /// [`WalError::BadMagic`] / [`WalError::ProvenanceMismatch`] /
@@ -358,14 +362,12 @@ impl Wal {
             let Some(&gen) = gens.last() else { break };
             let segpath = path.join(segment_file_name(gen));
             let bytes = std::fs::read(&segpath)?;
-            match parse_segment_header(&bytes, provenance, gen) {
-                Err(HeaderIssue::Torn) => {
-                    std::fs::remove_file(&segpath)?;
-                    sync_dir(path)?;
-                    gens.pop();
-                }
-                _ => break,
+            if !matches!(read_segment_header(&bytes, gen), Err(HeaderIssue::Torn)) {
+                break;
             }
+            std::fs::remove_file(&segpath)?;
+            sync_dir(path)?;
+            gens.pop();
         }
 
         if gens[0] > from_gen {
@@ -393,20 +395,12 @@ impl Wal {
             let tag = gen.to_string();
             injected(wmh_fault::point!("serve::wal_replay", &tag))?;
             let bytes = std::fs::read(&segpath)?;
-            let mut at = match parse_segment_header(&bytes, provenance, gen) {
-                Ok(at) => at,
-                Err(HeaderIssue::Fatal(e)) => return Err(e),
-                // Only the last segment can be header-torn (handled above)
-                // — and only when it is the *sole* segment, which keeps the
-                // pre-segmentation contract: a log whose first frame is
-                // torn is indistinguishable from a foreign file.
-                Err(HeaderIssue::Torn) => {
-                    if bytes.len() >= WAL_MAGIC.len() && bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-                        return Err(WalError::BadMagic);
-                    }
-                    return Err(WalError::Corrupt("provenance frame missing or torn".into()));
-                }
-            };
+            // Only the last segment can be header-torn (handled above), and
+            // only when it is the *sole* segment: a log whose first frame is
+            // torn is indistinguishable from a foreign file.
+            let (got, mut at) =
+                read_segment_header(&bytes, gen).map_err(HeaderIssue::into_error)?;
+            check_provenance(provenance, got)?;
             let mut seg_records = 0usize;
             while let Some(frame) = next_frame(&bytes, at) {
                 // A CRC-valid frame that decodes to garbage is corruption,
@@ -656,98 +650,58 @@ impl WalInfo {
     }
 }
 
-/// Offline, read-only inspection of a WAL directory (or a legacy
-/// single-file WAL, reported as one generation-0 segment): provenance,
+/// Offline, read-only inspection of a WAL directory: provenance,
 /// per-segment record counts, torn-tail bytes, and typed corruption.
-/// Nothing is migrated, rewound, or repaired. Provenance is taken from the
-/// oldest readable segment; later segments are checked against it.
+/// Nothing is rewound or repaired. Provenance is taken from the oldest
+/// readable segment; later segments are checked against it.
 ///
 /// # Errors
-/// [`WalError::Io`] when the path cannot be read, [`WalError::BadMagic`] /
-/// [`WalError::Corrupt`] when no segment yields a readable provenance.
+/// [`WalError::Io`] when the directory cannot be read (including a path
+/// that is a plain file), [`WalError::Corrupt`] when it holds no segment
+/// or no segment yields a readable provenance.
 pub fn inspect(path: &Path) -> Result<WalInfo, WalError> {
-    let sources: Vec<(u64, PathBuf)> = if path.is_file() {
-        vec![(0, path.to_owned())]
-    } else {
-        scan_segments(path)?
-            .into_iter()
-            .map(|gen| (gen, path.join(segment_file_name(gen))))
-            .collect()
-    };
-    if sources.is_empty() {
+    let gens = scan_segments(path)?;
+    if gens.is_empty() {
         return Err(WalError::Corrupt("no segments found".into()));
     }
     let mut provenance: Option<WalProvenance> = None;
-    let mut segments = Vec::with_capacity(sources.len());
-    for (gen, segpath) in &sources {
-        let bytes = std::fs::read(segpath)?;
+    let mut segments = Vec::with_capacity(gens.len());
+    for gen in gens {
+        let bytes = std::fs::read(path.join(segment_file_name(gen)))?;
         let mut report =
-            SegmentReport { generation: *gen, records: 0, bytes: 0, torn_bytes: 0, error: None };
-        let parsed = (|| -> Result<(WalProvenance, usize), WalError> {
-            if bytes.len() < WAL_MAGIC.len() || bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-                return Err(WalError::BadMagic);
-            }
-            let mut at = WAL_MAGIC.len();
-            let head = next_frame(&bytes, at)
-                .ok_or_else(|| WalError::Corrupt("provenance frame missing or torn".into()))?;
-            let got = decode_provenance(head.payload)?;
-            at = head.end;
-            if let Some(f) = next_frame(&bytes, at) {
-                if f.payload.first() == Some(&4) {
-                    let stamped = decode_generation(f.payload)?;
-                    if stamped != *gen {
-                        return Err(WalError::Corrupt(format!(
-                            "segment file says generation {gen} but its frame says {stamped}"
-                        )));
-                    }
-                    at = f.end;
+            SegmentReport { generation: gen, records: 0, bytes: 0, torn_bytes: 0, error: None };
+        let header = read_segment_header(&bytes, gen).map_err(HeaderIssue::into_error).and_then(
+            |(got, at)| match &provenance {
+                None => {
+                    provenance = Some(got);
+                    Ok(at)
                 }
-            }
-            Ok((got, at))
-        })();
-        match parsed {
+                Some(expected) => check_provenance(expected, got).map(|()| at),
+            },
+        );
+        let mut at = match header {
+            Ok(at) => at,
             Err(e) => {
                 report.error = Some(e.to_string());
                 segments.push(report);
                 continue;
             }
-            Ok((got, mut at)) => {
-                match &provenance {
-                    None => provenance = Some(got),
-                    Some(expected) if *expected != got => {
-                        report.error = Some(
-                            WalError::ProvenanceMismatch {
-                                expected: (
-                                    expected.algorithm.clone(),
-                                    expected.seed,
-                                    expected.num_hashes,
-                                ),
-                                got: (got.algorithm, got.seed, got.num_hashes),
-                            }
-                            .to_string(),
-                        );
-                        segments.push(report);
-                        continue;
-                    }
-                    Some(_) => {}
+        };
+        while let Some(f) = next_frame(&bytes, at) {
+            match Mutation::decode(f.payload) {
+                Ok(_) => report.records += 1,
+                Err(e) => {
+                    report.error = Some(e.to_string());
+                    break;
                 }
-                while let Some(f) = next_frame(&bytes, at) {
-                    match Mutation::decode(f.payload) {
-                        Ok(_) => report.records += 1,
-                        Err(e) => {
-                            report.error = Some(e.to_string());
-                            break;
-                        }
-                    }
-                    at = f.end;
-                }
-                if report.error.is_none() {
-                    report.torn_bytes = bytes.len() - at;
-                }
-                report.bytes = at as u64;
-                segments.push(report);
             }
+            at = f.end;
         }
+        if report.error.is_none() {
+            report.torn_bytes = bytes.len() - at;
+        }
+        report.bytes = at as u64;
+        segments.push(report);
     }
     let provenance = provenance
         .ok_or_else(|| WalError::Corrupt("no segment yields a readable provenance".into()))?;
@@ -777,18 +731,9 @@ fn scan_segments(dir: &Path) -> Result<Vec<u64>, WalError> {
     Ok(gens)
 }
 
-/// Make `path` a usable WAL directory: adopt or finish a legacy-file
-/// migration, create the directory, and sweep stale temp files.
+/// Make `path` a usable WAL directory: create it and sweep stale temp
+/// files.
 fn prepare_dir(path: &Path) -> Result<(), WalError> {
-    let staging = staging_path(path);
-    if path.is_file() {
-        migrate_legacy_file(path, &staging)?;
-    } else if !path.exists() && staging.is_dir() {
-        // A previous migration removed the original file but crashed
-        // before the final rename; finish it.
-        std::fs::rename(&staging, path)?;
-        sync_parent(path);
-    }
     std::fs::create_dir_all(path)?;
     for entry in std::fs::read_dir(path)? {
         let entry = entry?;
@@ -796,43 +741,6 @@ fn prepare_dir(path: &Path) -> Result<(), WalError> {
             let _ = std::fs::remove_file(entry.path());
         }
     }
-    Ok(())
-}
-
-fn staging_path(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(".migrating");
-    PathBuf::from(name)
-}
-
-/// Migrate a pre-segmentation single-file WAL at `path` into a directory
-/// of the same name holding it as the generation-0 segment, byte-for-byte
-/// (so its replay is identical; it simply has no generation frame).
-/// Two-phase and idempotent: stage → remove original → rename staging into
-/// place, with fsyncs, so a crash at any point either leaves the original
-/// untouched or leaves a staging directory [`prepare_dir`] finishes.
-fn migrate_legacy_file(path: &Path, staging: &Path) -> Result<(), WalError> {
-    let bytes = std::fs::read(path)?;
-    if bytes.is_empty() {
-        // An empty legacy file never held anything acknowledged.
-        std::fs::remove_file(path)?;
-        return Ok(());
-    }
-    if bytes.len() < WAL_MAGIC.len() || bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(WalError::BadMagic);
-    }
-    let _ = std::fs::remove_dir_all(staging);
-    std::fs::create_dir_all(staging)?;
-    let seg = staging.join(segment_file_name(0));
-    let mut f = File::create(&seg)?;
-    f.write_all(&bytes)?;
-    f.sync_all()?;
-    drop(f);
-    sync_dir(staging)?;
-    std::fs::remove_file(path)?;
-    sync_parent(path);
-    std::fs::rename(staging, path)?;
-    sync_parent(path);
     Ok(())
 }
 
@@ -865,36 +773,23 @@ fn create_segment(
     Ok((file, bytes.len() as u64))
 }
 
-/// Parse a segment header (magic + provenance + optional generation
-/// frame) and return the offset of the first mutation frame.
-fn parse_segment_header(
-    bytes: &[u8],
-    provenance: &WalProvenance,
-    gen: u64,
-) -> Result<usize, HeaderIssue> {
+/// Read a segment header — magic, provenance frame, generation frame —
+/// and return the recorded provenance and the offset of the first
+/// mutation frame. A present generation frame must agree with the
+/// filename's `gen`; a torn one reads as a torn tail after the provenance,
+/// which is harmless since the filename still carries the generation.
+fn read_segment_header(bytes: &[u8], gen: u64) -> Result<(WalProvenance, usize), HeaderIssue> {
     if bytes.len() < WAL_MAGIC.len() {
         return Err(HeaderIssue::Torn);
     }
     if bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
         return Err(HeaderIssue::Fatal(WalError::BadMagic));
     }
-    let mut at = WAL_MAGIC.len();
-    let Some(head) = next_frame(bytes, at) else {
+    let Some(head) = next_frame(bytes, WAL_MAGIC.len()) else {
         return Err(HeaderIssue::Torn);
     };
-    let got = decode_provenance(head.payload).map_err(HeaderIssue::Fatal)?;
-    if got != *provenance {
-        return Err(HeaderIssue::Fatal(WalError::ProvenanceMismatch {
-            expected: (provenance.algorithm.clone(), provenance.seed, provenance.num_hashes),
-            got: (got.algorithm, got.seed, got.num_hashes),
-        }));
-    }
-    at = head.end;
-    // The generation frame is optional (absent in migrated legacy
-    // segments, which are generation 0); when present it must agree with
-    // the filename. A torn generation frame reads as a torn tail after
-    // the provenance — harmless, the filename still carries the
-    // generation.
+    let provenance = decode_provenance(head.payload).map_err(HeaderIssue::Fatal)?;
+    let mut at = head.end;
     if let Some(f) = next_frame(bytes, at) {
         if f.payload.first() == Some(&4) {
             let stamped = decode_generation(f.payload).map_err(HeaderIssue::Fatal)?;
@@ -906,7 +801,19 @@ fn parse_segment_header(
             at = f.end;
         }
     }
-    Ok(at)
+    Ok((provenance, at))
+}
+
+/// [`WalError::ProvenanceMismatch`] unless a segment's recorded provenance
+/// `got` is the `expected` one.
+fn check_provenance(expected: &WalProvenance, got: WalProvenance) -> Result<(), WalError> {
+    if got == *expected {
+        return Ok(());
+    }
+    Err(WalError::ProvenanceMismatch {
+        expected: (expected.algorithm.clone(), expected.seed, expected.num_hashes),
+        got: (got.algorithm, got.seed, got.num_hashes),
+    })
 }
 
 fn decode_generation(payload: &[u8]) -> Result<u64, WalError> {
@@ -923,14 +830,6 @@ fn decode_generation(payload: &[u8]) -> Result<u64, WalError> {
 pub(crate) fn sync_dir(dir: &Path) -> Result<(), WalError> {
     File::open(dir)?.sync_all()?;
     Ok(())
-}
-
-fn sync_parent(path: &Path) {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
 }
 
 /// Frame a payload: `[len][payload][crc32c(payload)]`.
@@ -1306,36 +1205,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_file_wal_migrates_in_place() {
-        let d = dir("legacy");
-        let path = d.join("serve.wal");
-        // Build a directory WAL, then flatten its generation-0 segment
-        // back into a single file at `path` — byte-identical to what the
-        // pre-segmentation code wrote (minus the generation frame, which
-        // legacy files never had; replay tolerates its absence).
-        let (mut wal, _, _) = Wal::open(&path, &provenance(), 0).expect("create");
-        for m in sample() {
-            wal.append(&m).expect("append");
-        }
-        let gen = wal.active_generation();
-        drop(wal);
-        let bytes = std::fs::read(active_path(&path, gen)).expect("read");
-        std::fs::remove_dir_all(&path).expect("flatten");
-        std::fs::write(&path, &bytes).expect("legacy file");
-        assert!(path.is_file());
-
-        let (wal, replayed, _) = Wal::open(&path, &provenance(), 0).expect("migrate");
-        assert_eq!(replayed, sample(), "migration preserves every record");
-        assert!(path.is_dir(), "file became a directory");
-        assert_eq!(wal.active_generation(), 0);
-        drop(wal);
-        // Idempotent: a second open replays identically.
-        let (_, replayed, _) = Wal::open(&path, &provenance(), 0).expect("reopen");
-        assert_eq!(replayed, sample());
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
     fn provenance_mismatch_is_typed() {
         let d = dir("prov");
         let path = d.join("serve.wal");
@@ -1352,11 +1221,25 @@ mod tests {
     }
 
     #[test]
-    fn foreign_file_is_bad_magic() {
+    fn foreign_segment_is_bad_magic() {
         let d = dir("magic");
         let path = d.join("serve.wal");
-        std::fs::write(&path, b"definitely not a wal").expect("write");
+        std::fs::create_dir_all(&path).expect("mkdir");
+        std::fs::write(active_path(&path, 0), b"definitely not a wal").expect("write");
         assert_eq!(Wal::open(&path, &provenance(), 0).unwrap_err(), WalError::BadMagic);
+        let info = inspect(&path).expect_err("no readable provenance");
+        assert!(matches!(info, WalError::Corrupt(_)), "{info:?}");
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn plain_file_is_a_typed_error_and_left_alone() {
+        let d = dir("plain");
+        let path = d.join("serve.wal");
+        std::fs::write(&path, b"not a directory").expect("write");
+        assert!(matches!(inspect(&path), Err(WalError::Io(_))));
+        assert!(matches!(Wal::open(&path, &provenance(), 0), Err(WalError::Io(_))));
+        assert_eq!(std::fs::read(&path).expect("still a file"), b"not a directory");
         let _ = std::fs::remove_dir_all(&d);
     }
 

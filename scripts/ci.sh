@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Pre-PR gate: build, test, format, lint. Everything here is offline-safe —
-# the workspace has no registry dependencies (wmh-bench, which pulls
-# criterion, lives in its own excluded workspace under crates/bench/).
+# the workspace has no registry dependencies.
 #
 # Usage: scripts/ci.sh [--quick] [--only STEP] [--list]
 #
@@ -93,7 +92,6 @@ register snapshot-soak "durability-lifecycle kill-resume soak"
 register scrub-gate "flipped-bit detection/quarantine/heal, called out by name"
 register serve-smoke "loopback server answers every outcome class typed"
 register mutation-smoke "live-mutation soak over the wire with kill-resume"
-register fast-math "wmh-core suite with the opt-in fast-math feature compiled in"
 register schema-check "every checked-in results/*.json matches its schema"
 register perf-gate "wmh-perf quick suite vs results/BENCH_baseline.json (full mode only)"
 register perf-trajectory "compare the two newest checked-in trajectory points"
@@ -250,15 +248,6 @@ step_mutation_smoke() {
   else
     run cargo run "${RELEASE[@]}" -q -p wmh-serve -- mutation-soak
   fi
-}
-
-# Fast-math profile: the opt-in polynomial ln/exp feature must compile and
-# hold the whole wmh-core wall — conformance CLT bounds, the scratch_parity
-# differential dump, and the catalog pin that the DEFAULT build stays on
-# exact libm (the feature only unlocks AlgorithmConfig::fast_math; it must
-# never change results unless explicitly requested).
-step_fast_math() {
-  run cargo test "${RELEASE[@]}" -p wmh-core --features fast-math -q
 }
 
 # Every checked-in results/*.json (and results/trajectory/*.json) must
