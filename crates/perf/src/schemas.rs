@@ -184,34 +184,6 @@ pub fn serve_load() -> Schema {
     ])
 }
 
-/// Schema tag the serve crate stamps on recovery-bench reports; pinned
-/// here as a literal so the registry has no serve dependency (a
-/// cross-crate test asserts it equals `wmh_serve::RECOVERY_SCHEMA_VERSION`).
-const SERVE_RECOVERY_SCHEMA_VERSION: &str = "wmh-serve-recovery/v1";
-
-/// The `wmh-serve recovery-bench` report
-/// (`results/BENCH_serve_recovery.json`): reopen cost with and without a
-/// snapshot at several write counts.
-#[must_use]
-pub fn serve_recovery() -> Schema {
-    Schema::object(vec![
-        ("schema", Schema::Const(SERVE_RECOVERY_SCHEMA_VERSION)),
-        ("corpus", Schema::Str),
-        ("docs", Schema::UInt),
-        ("shards", Schema::UInt),
-        (
-            "rows",
-            Schema::array(Schema::object(vec![
-                ("writes", Schema::UInt),
-                ("snapshot", Schema::Bool),
-                ("wal_records_replayed", Schema::UInt),
-                ("segments_replayed", Schema::UInt),
-                ("open_secs", Schema::Number),
-            ])),
-        ),
-    ])
-}
-
 /// Look up the schema for a `results/` file by its file name.
 ///
 /// Returns `None` for unregistered names — the checker treats that as a
@@ -223,9 +195,6 @@ pub fn schema_for(file_name: &str) -> Option<Schema> {
     }
     if file_name == "BENCH_serve_load.json" {
         return Some(serve_load());
-    }
-    if file_name == "BENCH_serve_recovery.json" {
-        return Some(serve_recovery());
     }
     if file_name == "BENCH_baseline.json" || file_name.starts_with("BENCH_fig9") {
         return Some(perf_report());
@@ -443,19 +412,6 @@ mod tests {
         report.validate().expect("writer invariants");
         let value = Json::parse(&wmh_json::to_string(&report)).expect("renders valid JSON");
         serve_load().validate(&value).expect("schema matches the writer");
-    }
-
-    #[test]
-    fn serve_recovery_schema_accepts_the_serve_writer() {
-        assert_eq!(SERVE_RECOVERY_SCHEMA_VERSION, wmh_serve::RECOVERY_SCHEMA_VERSION);
-        let text = format!(
-            "{{\"schema\": {:?}, \"corpus\": \"Syn3E0.24S\", \"docs\": 160, \"shards\": 2, \
-             \"rows\": [{{\"writes\": 60, \"snapshot\": true, \"wal_records_replayed\": 0, \
-             \"segments_replayed\": 1, \"open_secs\": 0.12}}]}}",
-            wmh_serve::RECOVERY_SCHEMA_VERSION
-        );
-        let value = Json::parse(&text).expect("renders valid JSON");
-        serve_recovery().validate(&value).expect("schema matches the writer's shape");
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //!                 [--docs N] [--shards S] [--k K] [--deadline-us U] [--seed X]
 //!                 [--write-every W]
 //! wmh-serve mutation-soak [--quick]
-//! wmh-serve recovery-bench --out results/BENCH_serve_recovery.json [--quick]
 //! wmh-serve check-report <path>
 //! wmh-serve wal-info <dir>
 //! wmh-serve snapshot --store sketches.bin --wal DIR
@@ -26,9 +25,6 @@
 //!   surface over the wire against a WAL-backed loopback server, then
 //!   proves kill-resume recovery and a live re-shard byte-identical to
 //!   from-scratch builds.
-//! * `recovery-bench` — measure reopen (recovery) time with and without a
-//!   snapshot at several write counts; writes the `wmh-serve-recovery/v1`
-//!   report the perf gate checks.
 //! * `check-report` — validate a report file's schema and arithmetic
 //!   invariants (outcome counts must sum to requests issued).
 //! * `wal-info` — offline inspection of a WAL directory:
@@ -50,8 +46,8 @@ use std::sync::Arc;
 use wmh_core::{SketchStore, Sketcher};
 use wmh_data::PAPER_DATASETS;
 use wmh_serve::{
-    loadgen, snapshot, wal, Client, LoadConfig, LoadReport, MutationKind, MutationRequest, Outcome,
-    QueryRequest, Server, Service, ServiceConfig, RECOVERY_SCHEMA_VERSION,
+    loadgen, snapshot, wal, Client, LoadConfig, LoadReport, Outcome, QueryRequest, Server, Service,
+    ServiceConfig,
 };
 use wmh_sets::WeightedSet;
 
@@ -66,7 +62,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  wmh-serve smoke [--quick]\n  wmh-serve load --out FILE [--requests N] [--concurrency C] [--docs N]\n                 [--shards S] [--k K] [--deadline-us U] [--seed X] [--write-every W]\n  wmh-serve mutation-soak [--quick]\n  wmh-serve recovery-bench --out FILE [--quick]\n  wmh-serve check-report FILE\n  wmh-serve wal-info DIR\n  wmh-serve snapshot --store FILE --wal DIR\n  wmh-serve serve --store FILE [--addr 127.0.0.1:7878] [--wal DIR]\n                  [--snapshot-every N] [--scrub-every-secs S]"
+    "usage:\n  wmh-serve smoke [--quick]\n  wmh-serve load --out FILE [--requests N] [--concurrency C] [--docs N]\n                 [--shards S] [--k K] [--deadline-us U] [--seed X] [--write-every W]\n  wmh-serve mutation-soak [--quick]\n  wmh-serve check-report FILE\n  wmh-serve wal-info DIR\n  wmh-serve snapshot --store FILE --wal DIR\n  wmh-serve serve --store FILE [--addr 127.0.0.1:7878] [--wal DIR]\n                  [--snapshot-every N] [--scrub-every-secs S]"
         .to_owned()
 }
 
@@ -102,10 +98,6 @@ fn run() -> Result<ExitCode, String> {
         }
         "mutation-soak" => {
             mutation_soak(args.iter().any(|a| a == "--quick")).map(|()| ExitCode::SUCCESS)
-        }
-        "recovery-bench" => {
-            let out = flag("--out").ok_or_else(|| format!("missing --out\n{}", usage()))?;
-            recovery_bench(&out, args.iter().any(|a| a == "--quick")).map(|()| ExitCode::SUCCESS)
         }
         "check-report" => {
             let path = args.get(1).ok_or_else(|| format!("missing FILE\n{}", usage()))?;
@@ -418,115 +410,6 @@ fn mutation_soak(quick: bool) -> Result<(), String> {
         report.from, report.to, report.points
     );
     let _ = std::fs::remove_dir_all(dir);
-    Ok(())
-}
-
-/// One measured reopen in the recovery bench.
-struct RecoveryRow {
-    /// Committed writes before the kill.
-    writes: u64,
-    /// Whether a snapshot was taken before the kill.
-    snapshot: bool,
-    /// WAL mutations the reopen actually replayed.
-    wal_records_replayed: u64,
-    /// WAL segments the reopen actually read.
-    segments_replayed: u64,
-    /// Wall-clock seconds for the reopen (`Service::open`).
-    open_secs: f64,
-}
-
-wmh_json::json_object!(RecoveryRow {
-    writes,
-    snapshot,
-    wal_records_replayed,
-    segments_replayed,
-    open_secs
-});
-
-/// The `wmh-serve-recovery/v1` report: recovery cost with and without a
-/// snapshot, at several write counts.
-struct RecoveryReport {
-    schema: String,
-    corpus: String,
-    docs: u64,
-    shards: u64,
-    rows: Vec<RecoveryRow>,
-}
-
-wmh_json::json_object!(RecoveryReport { schema, corpus, docs, shards, rows });
-
-/// Measure reopen (recovery) time with and without a snapshot at several
-/// write counts: the snapshotted runs must replay only the (empty) tail,
-/// which is the whole point of the durability lifecycle.
-fn recovery_bench(out: &str, quick: bool) -> Result<(), String> {
-    let docs_n = if quick { 48 } else { 160 };
-    let max_writes = if quick { 60u64 } else { 240 };
-    let shards = 2usize;
-    let (name, docs) = corpus(docs_n, 42)?;
-    let store = build_store(&docs, 42)?;
-    let config =
-        ServiceConfig { shards, default_deadline_us: 2_000_000, ..ServiceConfig::default() };
-    let mut rows = Vec::new();
-    for writes in [max_writes / 4, max_writes / 2, max_writes] {
-        for snapshot in [false, true] {
-            let dir = scratch_dir(&format!("recovery-{writes}-{snapshot}"))?;
-            let wal_dir = dir.join("bench.wal");
-            let service = Service::open(&store, &wal_dir, config.clone())
-                .map_err(|e| format!("open ({writes} writes): {e}"))?;
-            for i in 0..writes {
-                let response = service.mutate(&MutationRequest {
-                    id: 1_000_000 + i,
-                    kind: MutationKind::Insert { doc: pairs_of(&docs[i as usize % docs.len()]) },
-                    deadline_us: Some(2_000_000),
-                });
-                if response.outcome != Outcome::Ok {
-                    return Err(format!("recovery-bench: write {i} degraded: {response:?}"));
-                }
-            }
-            if snapshot {
-                service.snapshot().map_err(|e| format!("snapshot ({writes} writes): {e}"))?;
-            }
-            drop(service);
-            let started = std::time::Instant::now();
-            let reopened = Service::open(&store, &wal_dir, config.clone())
-                .map_err(|e| format!("reopen ({writes} writes): {e}"))?;
-            let open_secs = started.elapsed().as_secs_f64();
-            let replay = reopened
-                .wal_recovery()
-                .ok_or_else(|| "recovery-bench: reopen reported no recovery".to_owned())?;
-            rows.push(RecoveryRow {
-                writes,
-                snapshot,
-                wal_records_replayed: replay.records as u64,
-                segments_replayed: replay.segments_replayed as u64,
-                open_secs,
-            });
-            drop(reopened);
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-    let report = RecoveryReport {
-        schema: RECOVERY_SCHEMA_VERSION.to_owned(),
-        corpus: name.clone(),
-        docs: docs_n as u64,
-        shards: shards as u64,
-        rows,
-    };
-    let mut text = wmh_json::to_string_pretty(&report);
-    text.push('\n');
-    std::fs::write(out, text).map_err(|e| format!("writing {out}: {e}"))?;
-    for row in &report.rows {
-        println!(
-            "recovery-bench: {} writes, snapshot={}: replayed {} records over {} segment(s) \
-             in {:.4}s",
-            row.writes,
-            row.snapshot,
-            row.wal_records_replayed,
-            row.segments_replayed,
-            row.open_secs
-        );
-    }
-    println!("recovery-bench: {} rows over {name} — wrote {out}", report.rows.len());
     Ok(())
 }
 

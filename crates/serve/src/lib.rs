@@ -31,11 +31,12 @@
 //!   ([`Service::open`](service::Service::open)) accept typed `insert` /
 //!   `delete` / `stream` ops: every mutation commits to the CRC-32C-framed
 //!   [`wal`] *before* touching any index, so a SIGKILL at any point replays
-//!   byte-identical to the acknowledged state. Streaming updates drive
-//!   per-id HistoSketch gradual forgetting; id-skew triggers a background
-//!   re-shard that serves degraded-but-correct behind quarantine and
-//!   converges byte-identical to a from-scratch partition; a write path
-//!   that cannot log degrades to a typed `read_only`, never a lie.
+//!   byte-identical to the acknowledged state — live writes and replay
+//!   share one mutation transition. Streaming updates drive per-id
+//!   HistoSketch gradual forgetting; an on-demand re-shard keeps
+//!   answering queries at full coverage while it rebuilds and converges
+//!   byte-identical to a from-scratch partition; a write path that cannot
+//!   log degrades to a typed `read_only`, never a lie.
 //! * **Durability lifecycle.** The log is a directory of
 //!   generation-numbered segments. [`Service::snapshot`](service::Service::snapshot)
 //!   atomically freezes the mutation mirror ([`snapshot`]), rotates the
@@ -94,7 +95,3 @@ pub use wal::{
     Mutation, ReplayReport, SegmentInfo, SegmentReport, Wal, WalError, WalInfo, WalProvenance,
 };
 pub use wire::{read_frame, write_frame, WireError, MAX_FRAME};
-
-/// Schema version stamped into `results/BENCH_serve_recovery.json` by the
-/// `recovery-bench` CLI verb (pinned by `wmh-perf`'s schema registry).
-pub const RECOVERY_SCHEMA_VERSION: &str = "wmh-serve-recovery/v1";

@@ -238,9 +238,6 @@ pub struct MutationResponse {
     pub shard: Option<usize>,
     /// Live points across all shards after this mutation.
     pub indexed: usize,
-    /// The id distribution has skewed past the configured threshold; a
-    /// background re-shard is advised.
-    pub reshard_hint: bool,
     /// For `overloaded`/`read_only`: the seeded backoff hint, else 0.
     pub retry_after_us: u64,
     /// Human-readable detail for degraded outcomes.
@@ -254,7 +251,6 @@ wmh_json::json_object!(MutationResponse {
     applied,
     shard,
     indexed,
-    reshard_hint,
     retry_after_us,
     error,
 });
@@ -271,7 +267,6 @@ impl MutationResponse {
             applied: false,
             shard: None,
             indexed,
-            reshard_hint: false,
             retry_after_us: 0,
             error,
         }
@@ -298,7 +293,7 @@ pub struct HealthResponse {
     /// once the disk fault clears. `read_only` is always true while
     /// `half_open` is.
     pub half_open: bool,
-    /// Whether a background re-shard is in progress.
+    /// Whether a re-shard is in progress.
     pub resharding: bool,
     /// Mutation records across the live WAL segments (replayed at open
     /// plus appended since; 0 for read-only services).
@@ -577,7 +572,6 @@ mod tests {
             applied: true,
             shard: Some(3),
             indexed: 601,
-            reshard_hint: true,
             retry_after_us: 0,
             error: None,
         });

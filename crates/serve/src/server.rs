@@ -105,10 +105,8 @@ impl Drop for Server {
 }
 
 /// Serve one connection: a sequence of framed requests, each answered in
-/// order on the same stream. A mutation response carrying `reshard_hint`
-/// kicks off a background re-shard (at most one runs at a time — the
-/// service absorbs concurrent attempts).
-fn handle_connection(service: &Arc<Service>, mut stream: TcpStream) {
+/// order on the same stream.
+fn handle_connection(service: &Service, mut stream: TcpStream) {
     loop {
         let body = match wire::read_frame(&mut stream) {
             Ok(Some(body)) => body,
@@ -118,13 +116,7 @@ fn handle_connection(service: &Arc<Service>, mut stream: TcpStream) {
         };
         let response = match wmh_json::from_str::<Request>(&body) {
             Ok(Request::Query(query)) => Response::Query(service.query(&query)),
-            Ok(Request::Mutate(mutation)) => {
-                let response = service.mutate(&mutation);
-                if response.reshard_hint {
-                    service.spawn_reshard();
-                }
-                Response::Mutation(response)
-            }
+            Ok(Request::Mutate(mutation)) => Response::Mutation(service.mutate(&mutation)),
             Ok(Request::Health) => Response::Health(service.health()),
             Err(e) => Response::Query(QueryResponse::empty(
                 0,

@@ -25,9 +25,15 @@
 //! ## The write path (see also [`crate::wal`])
 //!
 //! Writes are serialized through one writer lock and follow a fixed
-//! order: validate → durable WAL append → mirror update → dispatch to the
-//! owning shard. The append is the commit point; everything after it is
-//! reconstructible, so a SIGKILL anywhere replays to the exact
+//! order: pre-sketch (outside the lock) → [`Mirror::transition`] →
+//! durable WAL append → [`Mirror::commit`] → dispatch to the owning
+//! shard. The transition is the only place a mutation's effect is
+//! computed: it validates the mutation against the mirror and derives
+//! the resulting overlay codes and stream state, and the shard apply op
+//! is built from its result. WAL replay folds each logged record through
+//! the same transition and commit, so a recovered mirror equals the live
+//! one by construction. The append is the commit point; everything after
+//! it is reconstructible, so a SIGKILL anywhere replays to the exact
 //! acknowledged state. An apply failure inside a shard (retry budget
 //! exhausted) is self-healed by rebuilding that shard from the
 //! authoritative mirror — the same code path a cold open uses, so the
@@ -64,14 +70,12 @@
 //! ## Re-sharding
 //!
 //! [`Service::reshard_blocking`] rebuilds the whole fleet at a new shard
-//! count behind the quarantine machinery: writes degrade to `read_only`,
-//! the most-loaded shard is frozen (queries serve degraded-but-correct
-//! `partial` results from the rest), the new partition is built from the
-//! mirror — the same builder as a cold open, so the converged fleet is
-//! byte-identical to a from-scratch partition — and swapped in under the
-//! fleet lock. Skew detection ([`Service::plan_reshard`]) drives the
-//! `reshard_hint` response field; the TCP front end turns the hint into a
-//! background re-shard.
+//! count. It holds the writer lock for the whole rebuild, so writes
+//! answer `read_only` while the old fleet — consistent, since nothing can
+//! write to it — keeps answering queries at full coverage until the swap.
+//! The new partition is built from the mirror by the same builder as a
+//! cold open, so the converged fleet is byte-identical to a from-scratch
+//! partition, and it is swapped in under the fleet lock.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -137,12 +141,6 @@ pub struct ServiceConfig {
     pub retry: wmh_fault::supervisor::RetryPolicy,
     /// Master seed for every deterministic schedule in the service.
     pub seed: u64,
-    /// Id-distribution imbalance (max shard size / ideal size) at which
-    /// mutation responses raise `reshard_hint`; `None` disables skew
-    /// detection.
-    pub reshard_skew: Option<f64>,
-    /// Largest shard count [`Service::plan_reshard`] will propose.
-    pub reshard_cap: usize,
     /// Take an automatic snapshot every N committed writes; `None`
     /// disables the trigger ([`Service::snapshot`] still works on
     /// demand). A failed automatic snapshot is absorbed — the write that
@@ -165,8 +163,6 @@ impl Default for ServiceConfig {
             probe_every: 8,
             retry: wmh_fault::supervisor::RetryPolicy::default(),
             seed: 0x5E27E,
-            reshard_skew: None,
-            reshard_cap: 8,
             snapshot_every: None,
         }
     }
@@ -235,20 +231,10 @@ impl std::fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {}
 
 /// Per-shard health bookkeeping, updated by the merge path.
+#[derive(Default)]
 struct ShardHealth {
     consecutive_failures: u32,
     quarantined: bool,
-    /// Set for the duration of a re-shard on the shard being rebuilt:
-    /// skipped at fan-out unconditionally (no half-open probes — the
-    /// freeze lifts when the re-shard finishes, not when a probe
-    /// succeeds).
-    frozen: bool,
-}
-
-impl ShardHealth {
-    fn new() -> Self {
-        Self { consecutive_failures: 0, quarantined: false, frozen: false }
-    }
 }
 
 /// Decrement-on-drop guard so the in-flight gauge survives every return
@@ -313,44 +299,111 @@ impl Mirror {
         })
     }
 
-    /// Fold one logged mutation — the replay twin of the live mirror
-    /// update in [`Service::mutate`]: identical HistoSketch calls in
-    /// identical order, so a recovered mirror is bit-identical to one
-    /// that took the writes live.
+    /// The one mutation transition: validate `m` against the mirror and
+    /// compute its effect — the id's resulting overlay codes and stream
+    /// state — without changing anything. Streams run the §7 HistoSketch
+    /// gradual forgetting (decay → add → histogram → sketch) on a copy of
+    /// the id's state. Every `Err` is a `bad_request` on the live path,
+    /// which runs this before the WAL append, so a rejected write never
+    /// commits.
+    fn transition(
+        &self,
+        seed: u64,
+        sketcher: &(dyn Sketcher + Send + Sync),
+        m: &Mutation,
+    ) -> Result<Transition, String> {
+        match m {
+            Mutation::Insert { id, codes } => {
+                if self.live.contains(id) {
+                    return Err(format!("id {id} is already indexed (delete it first, or stream)"));
+                }
+                Ok(Transition { id: *id, codes: Some(codes.clone()), stream: None })
+            }
+            Mutation::Delete { id } => {
+                if !self.live.contains(id) {
+                    return Err(format!("id {id} is not indexed"));
+                }
+                Ok(Transition { id: *id, codes: None, stream: None })
+            }
+            Mutation::Stream { id, lambda, items } => {
+                if !lambda.is_finite() || *lambda <= 0.0 || *lambda > 1.0 {
+                    return Err(format!("decay factor lambda {lambda} outside (0, 1]"));
+                }
+                if let Some((k, mass)) =
+                    items.iter().find(|(_, mass)| !mass.is_finite() || *mass <= 0.0)
+                {
+                    return Err(format!("stream item ({k}, {mass}) has non-positive mass"));
+                }
+                // A static (non-streaming) live id has no histogram to
+                // decay; streaming onto it would silently replace its
+                // content.
+                let mut state = match self.streams.get(id) {
+                    Some(state) => state.clone(),
+                    None if self.live.contains(id) => {
+                        return Err(format!(
+                            "id {id} is indexed but not a streaming document; delete it first"
+                        ))
+                    }
+                    None if items.is_empty() => {
+                        return Err(format!(
+                            "cannot create streaming id {id} from an empty item list"
+                        ))
+                    }
+                    None => {
+                        HistoSketch::new(seed, sketcher.num_hashes()).map_err(|e| e.to_string())?
+                    }
+                };
+                state.decay(*lambda).map_err(|e| e.to_string())?;
+                for &(k, mass) in items {
+                    state.add(k, mass).map_err(|e| e.to_string())?;
+                }
+                let set = state.histogram().map_err(|e| format!("stream state: {e}"))?;
+                let sketch =
+                    sketcher.sketch(&set).map_err(|e| format!("unsketchable stream state: {e}"))?;
+                Ok(Transition { id: *id, codes: Some(sketch.codes), stream: Some(state) })
+            }
+        }
+    }
+
+    /// Install a transition's effect. Total: validation already happened
+    /// in [`Self::transition`].
+    fn commit(&mut self, t: Transition) {
+        match t.codes {
+            Some(codes) => {
+                self.live.insert(t.id);
+                self.overlays.insert(t.id, codes);
+            }
+            None => {
+                self.live.remove(&t.id);
+                self.overlays.remove(&t.id);
+            }
+        }
+        match t.stream {
+            Some(state) => self.streams.insert(t.id, state),
+            None => self.streams.remove(&t.id),
+        };
+    }
+
+    /// Fold one logged mutation during replay: the live path's transition
+    /// and commit, minus the WAL append in between.
     fn fold(
         &mut self,
         seed: u64,
         sketcher: &(dyn Sketcher + Send + Sync),
         m: &Mutation,
     ) -> Result<(), String> {
-        match m {
-            Mutation::Insert { id, codes } => {
-                self.live.insert(*id);
-                self.overlays.insert(*id, codes.clone());
-            }
-            Mutation::Delete { id } => {
-                self.live.remove(id);
-                self.overlays.remove(id);
-                self.streams.remove(id);
-            }
-            Mutation::Stream { id, lambda, items } => {
-                let state = match self.streams.entry(*id) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(v) => v.insert(
-                        HistoSketch::new(seed, sketcher.num_hashes()).map_err(|e| e.to_string())?,
-                    ),
-                };
-                state.decay(*lambda).map_err(|e| e.to_string())?;
-                for &(k, mass) in items {
-                    state.add(k, mass).map_err(|e| e.to_string())?;
-                }
-                let set = state.histogram().map_err(|e| e.to_string())?;
-                let sketch = sketcher.sketch(&set).map_err(|e| e.to_string())?;
-                self.live.insert(*id);
-                self.overlays.insert(*id, sketch.codes);
-            }
-        }
+        let t = self.transition(seed, sketcher, m)?;
+        self.commit(t);
         Ok(())
+    }
+
+    /// The codes `id` is indexed under: its overlay if it drifted from the
+    /// cold store, the store's codes otherwise.
+    fn codes(&self, store: &SketchStore, id: u64) -> Result<Vec<u64>, String> {
+        match self.overlays.get(&id) {
+            Some(codes) => Ok(codes.clone()),
+            None => store.get(id).map(|sketch| sketch.codes).map_err(|e| e.to_string()),
+        }
     }
 
     /// Freeze the mirror as snapshot generation `generation`. Everything
@@ -368,16 +421,25 @@ impl Mirror {
     }
 }
 
+/// One validated mutation's effect, computed by [`Mirror::transition`]
+/// and installed by [`Mirror::commit`]: what the id becomes.
+struct Transition {
+    id: u64,
+    /// The id's new indexed codes; `None` deletes it.
+    codes: Option<Vec<u64>>,
+    /// The id's new streaming state; `None` for inserts and deletes.
+    stream: Option<HistoSketch>,
+}
+
 /// Everything the write path owns, serialized under one lock: the WAL,
-/// the cold store, the authoritative mirror, and per-shard bookkeeping.
+/// the cold store, the authoritative mirror, and the snapshot trigger's
+/// write counter.
 struct WriteState {
     wal: Wal,
     /// The base every rebuild starts from.
     store: SketchStore,
     /// The authoritative mirror (see [`Mirror`]).
     mirror: Mirror,
-    /// Live points per shard of the *current* fleet (skew detection).
-    sizes: Vec<usize>,
     /// Committed writes since the last snapshot (drives
     /// [`ServiceConfig::snapshot_every`]).
     writes_since_snapshot: u64,
@@ -481,9 +543,6 @@ impl Service {
         if config.probe_every == 0 {
             return Err(ServiceError::BadConfig("probe_every must be positive".into()));
         }
-        if config.reshard_skew.is_some_and(|t| t.is_nan() || t < 1.0) {
-            return Err(ServiceError::BadConfig("reshard_skew must be >= 1.0".into()));
-        }
         if config.snapshot_every == Some(0) {
             return Err(ServiceError::BadConfig("snapshot_every must be positive".into()));
         }
@@ -547,9 +606,9 @@ impl Service {
             None => (None, Mirror::cold(store), None),
         };
 
-        let (shards, sizes) =
+        let shards =
             build_fleet(store, algorithm, bands, &config, config.shards, &mirror, "serve::ingest")?;
-        let health = (0..config.shards).map(|_| ShardHealth::new()).collect();
+        let health = (0..config.shards).map(|_| ShardHealth::default()).collect();
         let live_count = mirror.live.len();
         let wal_records = wal.as_ref().map_or(0, Wal::records);
         let wal_bytes = wal.as_ref().map_or(0, Wal::len_bytes);
@@ -557,13 +616,7 @@ impl Service {
 
         let gate = WriteGate::new(usize::try_from(config.probe_every).unwrap_or(usize::MAX));
         let writer = wal.map(|wal| {
-            Mutex::new(WriteState {
-                wal,
-                store: store.clone(),
-                mirror,
-                sizes,
-                writes_since_snapshot: 0,
-            })
+            Mutex::new(WriteState { wal, store: store.clone(), mirror, writes_since_snapshot: 0 })
         });
         Ok(Self {
             indexed: AtomicUsize::new(live_count),
@@ -608,58 +661,24 @@ impl Service {
         let deadline = Deadline::after(Duration::from_micros(budget));
         let shards_total = self.lock_shards_read().len();
 
-        // Admission: the global in-flight cap, plus the injectable
-        // `serve::admission` rejection for overload drills.
-        let admitted = self.inflight.fetch_add(1, Ordering::AcqRel);
-        let _guard = InflightGuard(&self.inflight);
-        let admission_fault = wmh_fault::point!("serve::admission").err();
-        if admitted >= self.config.max_inflight || admission_fault.is_some() {
-            let backoff = self.config.retry.backoff(self.config.seed, request_id, 1);
-            let mut response = QueryResponse::empty(
-                request.id,
-                Outcome::Overloaded,
-                shards_total,
-                Some(admission_fault.map_or_else(
-                    || format!("{admitted} requests in flight at cap {}", self.config.max_inflight),
-                    |fault| fault.to_string(),
-                )),
-            );
-            response.retry_after_us = u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX);
-            return response;
-        }
+        let _guard = match self.admit() {
+            Ok(guard) => guard,
+            Err(why) => {
+                return QueryResponse {
+                    retry_after_us: self.retry_after_us(request_id),
+                    ..QueryResponse::empty(request.id, Outcome::Overloaded, shards_total, Some(why))
+                }
+            }
+        };
 
         // Sketch once at the front; shards only ever probe and re-rank.
-        let set = match WeightedSet::from_pairs(request.doc.iter().copied()) {
-            Ok(set) => set,
+        let prepared = self
+            .sketch_doc(&request.doc)
+            .and_then(|sketch| Ok((self.fingerprint(&sketch.codes)?, sketch)));
+        let (fp, sketch) = match prepared {
+            Ok(pair) => pair,
             Err(e) => {
-                return QueryResponse::empty(
-                    request.id,
-                    Outcome::BadRequest,
-                    shards_total,
-                    Some(format!("bad document: {e}")),
-                )
-            }
-        };
-        let sketch = match self.sketcher.sketch(&set) {
-            Ok(sketch) => sketch,
-            Err(e) => {
-                return QueryResponse::empty(
-                    request.id,
-                    Outcome::BadRequest,
-                    shards_total,
-                    Some(format!("unsketchable document: {e}")),
-                )
-            }
-        };
-        let fp = match BbitFingerprint::pack(&sketch.codes, self.config.fingerprint_bits) {
-            Ok(fp) => fp,
-            Err(e) => {
-                return QueryResponse::empty(
-                    request.id,
-                    Outcome::BadRequest,
-                    shards_total,
-                    Some(e.to_string()),
-                )
+                return QueryResponse::empty(request.id, Outcome::BadRequest, shards_total, Some(e))
             }
         };
         if deadline.expired() {
@@ -671,9 +690,8 @@ impl Service {
             );
         }
 
-        // Fan out. Frozen shards (mid-re-shard) are skipped always;
-        // quarantined shards are skipped except on half-open probe
-        // requests; full inboxes shed explicitly.
+        // Fan out. Quarantined shards are skipped except on half-open
+        // probe requests; full inboxes shed explicitly.
         let sketch = Arc::new(sketch);
         let fp = Arc::new(fp);
         let (reply_tx, reply_rx) = mpsc::channel::<Slice>();
@@ -684,8 +702,7 @@ impl Service {
             let shards = self.lock_shards_read();
             let health = self.lock_health();
             for (shard_id, shard) in shards.iter().enumerate() {
-                let entry = &health[shard_id];
-                if entry.frozen || (entry.quarantined && !probing) {
+                if health[shard_id].quarantined && !probing {
                     continue;
                 }
                 let job = Job::Query(QueryJob {
@@ -785,135 +802,80 @@ impl Service {
     /// [`MutationResponse`] — see the protocol docs for the write
     /// precedence and the meaning of `durable`/`applied`.
     pub fn mutate(&self, request: &MutationRequest) -> MutationResponse {
+        let id = request.id;
         let request_id = self.requests.fetch_add(1, Ordering::Relaxed);
         let budget = request.deadline_us.unwrap_or(self.config.default_deadline_us);
         let deadline = Deadline::after(Duration::from_micros(budget));
         let indexed = self.indexed.load(Ordering::Acquire);
+        let reject = |outcome: Outcome, error: String| {
+            MutationResponse::rejected(id, outcome, indexed, Some(error))
+        };
+        let reject_retryable = |outcome: Outcome, error: String| MutationResponse {
+            retry_after_us: self.retry_after_us(request_id),
+            ..reject(outcome, error)
+        };
 
         // Admission first: an overloaded service rejects writes before
         // touching the WAL, so `overloaded` always means "nothing
         // happened, retry verbatim".
-        let admitted = self.inflight.fetch_add(1, Ordering::AcqRel);
-        let _guard = InflightGuard(&self.inflight);
-        let admission_fault = wmh_fault::point!("serve::admission").err();
-        if admitted >= self.config.max_inflight || admission_fault.is_some() {
-            let backoff = self.config.retry.backoff(self.config.seed, request_id, 1);
-            let mut response = MutationResponse::rejected(
-                request.id,
-                Outcome::Overloaded,
-                indexed,
-                Some(admission_fault.map_or_else(
-                    || format!("{admitted} requests in flight at cap {}", self.config.max_inflight),
-                    |fault| fault.to_string(),
-                )),
-            );
-            response.retry_after_us = u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX);
-            return response;
-        }
-
+        let _guard = match self.admit() {
+            Ok(guard) => guard,
+            Err(why) => return reject_retryable(Outcome::Overloaded, why),
+        };
         let Some(writer) = &self.writer else {
-            return MutationResponse::rejected(
-                request.id,
+            return reject(
                 Outcome::ReadOnly,
-                indexed,
-                Some("service was opened read-only (no write-ahead log)".into()),
+                "service was opened read-only (no write-ahead log)".into(),
             );
         };
         if self.resharding.load(Ordering::Acquire) {
-            let backoff = self.config.retry.backoff(self.config.seed, request_id, 1);
-            let mut response = MutationResponse::rejected(
-                request.id,
+            return reject_retryable(
                 Outcome::ReadOnly,
-                indexed,
-                Some("re-shard in progress; writes resume when it completes".into()),
+                "re-shard in progress; writes resume when it completes".into(),
             );
-            response.retry_after_us = u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX);
-            return response;
         }
         // The half-open write gate. `Reject` is the fast path of a
         // tripped gate; `Probe` proceeds into the real durable append —
         // its success is the evidence that re-opens the gate.
         let admission = self.gate.admit();
         if admission == WriteAdmission::Reject {
-            let backoff = self.config.retry.backoff(self.config.seed, request_id, 1);
-            let mut response = MutationResponse::rejected(
-                request.id,
+            return reject_retryable(
                 Outcome::ReadOnly,
-                indexed,
-                Some(
-                    "write gate tripped by a WAL failure; half-open probes re-admit \
-                     writes once an append succeeds — retry later"
-                        .into(),
-                ),
+                "write gate tripped by a WAL failure; half-open probes re-admit writes once an \
+                 append succeeds — retry later"
+                    .into(),
             );
-            response.retry_after_us = u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX);
-            return response;
         }
 
-        // Pre-sketch inserts and pre-validate stream parameters outside
-        // the writer lock: everything rejectable without id bookkeeping is
-        // rejected before any serialization point.
-        let presketched = match &request.kind {
+        // Pre-sketch inserts outside the writer lock: the one expensive
+        // step that needs no id bookkeeping.
+        let record = match &request.kind {
             MutationKind::Insert { doc } => match self.sketch_doc(doc) {
-                Ok(pair) => Some(pair),
-                Err(e) => {
-                    return MutationResponse::rejected(
-                        request.id,
-                        Outcome::BadRequest,
-                        indexed,
-                        Some(e),
-                    )
-                }
+                Ok(sketch) => Mutation::Insert { id, codes: sketch.codes },
+                Err(e) => return reject(Outcome::BadRequest, e),
             },
-            MutationKind::Delete => None,
+            MutationKind::Delete => Mutation::Delete { id },
             MutationKind::Stream { lambda, items } => {
-                if !lambda.is_finite() || *lambda <= 0.0 || *lambda > 1.0 {
-                    return MutationResponse::rejected(
-                        request.id,
-                        Outcome::BadRequest,
-                        indexed,
-                        Some(format!("decay factor lambda {lambda} outside (0, 1]")),
-                    );
-                }
-                if let Some((k, mass)) =
-                    items.iter().find(|(_, mass)| !mass.is_finite() || *mass <= 0.0)
-                {
-                    return MutationResponse::rejected(
-                        request.id,
-                        Outcome::BadRequest,
-                        indexed,
-                        Some(format!("stream item ({k}, {mass}) has non-positive mass")),
-                    );
-                }
-                None
+                Mutation::Stream { id, lambda: *lambda, items: items.clone() }
             }
         };
 
-        // Serialize: validate against live ids, commit to the WAL, update
-        // the mirror, dispatch to the owning shard — all under the writer
-        // lock, so WAL order is exactly per-shard apply order.
+        // Serialize: transition, commit to the WAL, commit to the mirror,
+        // dispatch to the owning shard — all under the writer lock, so WAL
+        // order is exactly per-shard apply order.
         let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-
-        // Prepare the (record, apply-op) pair; every rejection here
-        // happens *before* the append, so a `bad_request` never commits.
-        let prepared = prepare_mutation(&w, request, presketched, &*self.sketcher, &self.config);
-        let (record, op, new_stream) = match prepared {
-            Ok(triple) => triple,
-            Err(e) => {
-                return MutationResponse::rejected(
-                    request.id,
-                    Outcome::BadRequest,
-                    indexed,
-                    Some(e),
-                )
-            }
+        let prepared = w
+            .mirror
+            .transition(w.store.seed(), &*self.sketcher, &record)
+            .and_then(|t| Ok((self.apply_op(&t)?, t)));
+        let (op, transition) = match prepared {
+            Ok(pair) => pair,
+            Err(e) => return reject(Outcome::BadRequest, e),
         };
         if deadline.expired() {
-            return MutationResponse::rejected(
-                request.id,
+            return reject(
                 Outcome::DeadlineExceeded,
-                indexed,
-                Some(format!("budget {budget}us spent before the WAL append")),
+                format!("budget {budget}us spent before the WAL append"),
             );
         }
 
@@ -930,14 +892,7 @@ impl Service {
         });
         let append_failure = match appended {
             CellOutcome::Completed(Ok(())) => None,
-            CellOutcome::Completed(Err(e)) => {
-                return MutationResponse::rejected(
-                    request.id,
-                    Outcome::BadRequest,
-                    indexed,
-                    Some(e),
-                )
-            }
+            CellOutcome::Completed(Err(e)) => return reject(Outcome::BadRequest, e),
             CellOutcome::TimedOut => Some("WAL append deadline".to_owned()),
             CellOutcome::Quarantined { attempts, error } => {
                 Some(format!("WAL append failed after {attempts} attempts: {error}"))
@@ -945,14 +900,12 @@ impl Service {
         };
         if let Some(detail) = append_failure {
             self.gate.trip();
-            return MutationResponse::rejected(
-                request.id,
+            return reject(
                 Outcome::ReadOnly,
-                indexed,
-                Some(format!(
-                    "{detail}; write gate tripped — half-open probes re-admit writes \
-                     once an append succeeds"
-                )),
+                format!(
+                    "{detail}; write gate tripped — half-open probes re-admit writes once an \
+                     append succeeds"
+                ),
             );
         }
         // A successful probe append IS the recovery evidence: the fault
@@ -963,37 +916,9 @@ impl Service {
         self.wal_records.store(w.wal.records(), Ordering::Release);
         self.wal_bytes.store(w.wal.len_bytes(), Ordering::Release);
 
-        // Committed. Mirror the mutation, then apply it — from here on the
-        // response always reports `durable: true`.
-        let was_live = w.mirror.live.contains(&request.id);
-        let overlay_codes = match &op {
-            ApplyOp::Insert { sketch, .. } | ApplyOp::Upsert { sketch, .. } => {
-                Some(sketch.codes.clone())
-            }
-            ApplyOp::Delete { .. } => None,
-        };
-        match &request.kind {
-            MutationKind::Insert { .. } => {
-                w.mirror.live.insert(request.id);
-                if let Some(codes) = overlay_codes {
-                    w.mirror.overlays.insert(request.id, codes);
-                }
-            }
-            MutationKind::Delete => {
-                w.mirror.live.remove(&request.id);
-                w.mirror.overlays.remove(&request.id);
-                w.mirror.streams.remove(&request.id);
-            }
-            MutationKind::Stream { .. } => {
-                w.mirror.live.insert(request.id);
-                if let Some(codes) = overlay_codes {
-                    w.mirror.overlays.insert(request.id, codes);
-                }
-                if let Some(state) = new_stream {
-                    w.mirror.streams.insert(request.id, state);
-                }
-            }
-        }
+        // Committed. Install the transition in the mirror, then apply it —
+        // from here on the response always reports `durable: true`.
+        w.mirror.commit(transition);
         let live_count = w.mirror.live.len();
         self.indexed.store(live_count, Ordering::Release);
 
@@ -1011,7 +936,7 @@ impl Service {
         // Route to the owning shard of the *current* fleet.
         let (shard_id, send_result, reply_rx) = {
             let shards = self.lock_shards_read();
-            let shard_id = (request.id % shards.len() as u64) as usize;
+            let shard_id = (id % shards.len() as u64) as usize;
             let (ack_tx, ack_rx) = mpsc::channel();
             // Blocking send: the mutation is durable, so it must reach the
             // worker; the worker always drains, so the wait is bounded by
@@ -1020,17 +945,16 @@ impl Service {
                 shards[shard_id].tx.send(Job::Apply(Box::new(ApplyJob { op, reply: ack_tx })));
             (shard_id, sent, ack_rx)
         };
-        match &request.kind {
-            MutationKind::Insert { .. } => w.sizes[shard_id] += 1,
-            MutationKind::Delete => w.sizes[shard_id] = w.sizes[shard_id].saturating_sub(1),
-            MutationKind::Stream { .. } => {
-                if !was_live {
-                    w.sizes[shard_id] += 1;
-                }
-            }
-        }
-        let reshard_hint =
-            self.config.reshard_skew.is_some_and(|threshold| imbalance(&w.sizes) >= threshold);
+        let committed = |outcome: Outcome, applied: bool, error: Option<String>| MutationResponse {
+            id,
+            outcome,
+            durable: true,
+            applied,
+            shard: Some(shard_id),
+            indexed: live_count,
+            retry_after_us: 0,
+            error,
+        };
 
         let ack = if send_result.is_err() {
             // The worker is gone (only possible mid-teardown): treat as an
@@ -1048,19 +972,11 @@ impl Service {
                     Err(RecvTimeoutError::Timeout) => {
                         // Committed but unconfirmed: the worker applies it
                         // regardless; only the wait ran out.
-                        return MutationResponse {
-                            id: request.id,
-                            outcome: Outcome::DeadlineExceeded,
-                            durable: true,
-                            applied: false,
-                            shard: Some(shard_id),
-                            indexed: live_count,
-                            reshard_hint,
-                            retry_after_us: 0,
-                            error: Some(
-                                "committed to the WAL; apply not confirmed in budget".into(),
-                            ),
-                        };
+                        return committed(
+                            Outcome::DeadlineExceeded,
+                            false,
+                            Some("committed to the WAL; apply not confirmed in budget".into()),
+                        );
                     }
                     Err(RecvTimeoutError::Disconnected) => Err("shard worker gone".to_owned()),
                 },
@@ -1068,20 +984,11 @@ impl Service {
         };
 
         match ack {
-            Ok(()) => MutationResponse {
-                id: request.id,
-                outcome: Outcome::Ok,
-                durable: true,
-                applied: true,
-                shard: Some(shard_id),
-                indexed: live_count,
-                reshard_hint,
-                retry_after_us: 0,
-                error: None,
+            Ok(()) => committed(Outcome::Ok, true, None),
+            Err(apply_error) => match self.self_heal(&w, shard_id, &apply_error) {
+                Ok(detail) => committed(Outcome::Ok, true, Some(detail)),
+                Err(detail) => committed(Outcome::ReadOnly, false, Some(detail)),
             },
-            Err(apply_error) => {
-                self.self_heal(&mut w, shard_id, request, live_count, reshard_hint, &apply_error)
-            }
         }
     }
 
@@ -1090,54 +997,26 @@ impl Service {
     /// mirror — the same builder a cold open uses — and swap it into the
     /// fleet. If even the rebuild fails, quarantine the shard and trip the
     /// write gate: the log stays authoritative, and a half-open probe (or
-    /// a restart) recovers.
+    /// a restart) recovers. Returns the response detail: `Ok` when the
+    /// shard was rebuilt, `Err` when it was quarantined.
     fn self_heal(
         &self,
-        w: &mut WriteState,
+        w: &WriteState,
         shard_id: usize,
-        request: &MutationRequest,
-        live_count: usize,
-        reshard_hint: bool,
         apply_error: &str,
-    ) -> MutationResponse {
+    ) -> Result<String, String> {
         match self.rebuild_shard_locked(w, shard_id) {
-            Ok(()) => MutationResponse {
-                id: request.id,
-                outcome: Outcome::Ok,
-                durable: true,
-                applied: true,
-                shard: Some(shard_id),
-                indexed: live_count,
-                reshard_hint,
-                retry_after_us: 0,
-                error: Some(format!(
-                    "apply failed ({apply_error}); shard {shard_id} rebuilt from the \
-                     durable state"
-                )),
-            },
+            Ok(()) => Ok(format!(
+                "apply failed ({apply_error}); shard {shard_id} rebuilt from the durable state"
+            )),
             Err(rebuild_error) => {
-                {
-                    let mut health = self.lock_health();
-                    if let Some(entry) = health.get_mut(shard_id) {
-                        entry.quarantined = true;
-                    }
-                }
+                self.quarantine(shard_id);
                 self.gate.trip();
-                MutationResponse {
-                    id: request.id,
-                    outcome: Outcome::ReadOnly,
-                    durable: true,
-                    applied: false,
-                    shard: Some(shard_id),
-                    indexed: live_count,
-                    reshard_hint,
-                    retry_after_us: 0,
-                    error: Some(format!(
-                        "apply failed ({apply_error}); shard rebuild also failed \
-                         ({rebuild_error}); shard quarantined, write gate tripped — the WAL \
-                         stays authoritative and probes or a restart recover"
-                    )),
-                }
+                Err(format!(
+                    "apply failed ({apply_error}); shard rebuild also failed ({rebuild_error}); \
+                     shard quarantined, write gate tripped — the WAL stays authoritative and \
+                     probes or a restart recover"
+                ))
             }
         }
     }
@@ -1145,54 +1024,32 @@ impl Service {
     /// Rebuild one shard from the mirror and swap it into the fleet,
     /// resetting its health entry. Shared by mutation self-heal and the
     /// scrubber's mismatch repair.
-    fn rebuild_shard_locked(&self, w: &mut WriteState, shard_id: usize) -> Result<(), String> {
+    fn rebuild_shard_locked(&self, w: &WriteState, shard_id: usize) -> Result<(), ServiceError> {
         let count = self.lock_shards_read().len();
-        let built = supervise(&self.config.retry, self.config.seed, shard_id as u64, |_| {
-            build_shard(
-                &w.store,
-                self.algorithm,
-                self.bands,
-                &self.config,
-                shard_id,
-                count,
-                &w.mirror,
-                "serve::ingest",
-            )
-        });
-        let (index, fingerprints) = match built {
-            CellOutcome::Completed(Ok(contents)) => contents,
-            // TimedOut cannot fire (shard builds carry no deadline), but a
-            // typed failure is the honest fallback if that ever changes.
-            CellOutcome::TimedOut => return Err("shard rebuild hit a deadline".into()),
-            CellOutcome::Completed(Err(error)) => return Err(error),
-            CellOutcome::Quarantined { attempts, error } => {
-                return Err(format!("after {attempts} attempts: {error}"))
-            }
-        };
-        if let Some(size) = w.sizes.get_mut(shard_id) {
-            *size = index.len();
-        }
-        let shard = Shard::spawn(
+        let shard = spawn_shard(
+            &w.store,
+            self.algorithm,
+            self.bands,
+            &self.config,
             shard_id,
-            index,
-            fingerprints,
-            self.config.queue_depth,
-            self.config.retry,
-            self.config.seed,
+            count,
+            &w.mirror,
+            "serve::ingest",
         )?;
-        {
-            let mut shards = self.lock_shards_write();
-            // The old worker exits once its (now unreferenced) inbox
-            // drains.
-            shards[shard_id] = shard;
-        }
-        {
-            let mut health = self.lock_health();
-            if let Some(entry) = health.get_mut(shard_id) {
-                *entry = ShardHealth::new();
-            }
+        // The old worker exits once its (now unreferenced) inbox drains.
+        self.lock_shards_write()[shard_id] = shard;
+        if let Some(entry) = self.lock_health().get_mut(shard_id) {
+            *entry = ShardHealth::default();
         }
         Ok(())
+    }
+
+    /// Mark one shard quarantined: fan-out skips it except on half-open
+    /// probes.
+    fn quarantine(&self, shard_id: usize) {
+        if let Some(entry) = self.lock_health().get_mut(shard_id) {
+            entry.quarantined = true;
+        }
     }
 
     /// Take a snapshot now: rotate the WAL to a fresh generation, write
@@ -1369,16 +1226,11 @@ impl Service {
             }
             if mismatch {
                 report.mismatched_shards.push(shard_id);
-                {
-                    let mut health = self.lock_health();
-                    if let Some(entry) = health.get_mut(shard_id) {
-                        entry.quarantined = true;
-                    }
-                }
+                self.quarantine(shard_id);
                 // Self-heal through the same rebuild the mutation path
                 // uses; failure leaves the shard quarantined (fan-out
                 // skips it, probes keep trying).
-                if let Err(e) = self.rebuild_shard_locked(&mut w, shard_id) {
+                if let Err(e) = self.rebuild_shard_locked(&w, shard_id) {
                     report.heal_errors.push(format!("rebuilding shard {shard_id}: {e}"));
                 }
             }
@@ -1390,18 +1242,15 @@ impl Service {
     /// from the authoritative mirror: overlay codes if the id drifted
     /// from the store, store codes otherwise.
     fn expected_fingerprint(&self, w: &WriteState, id: u64) -> Result<BbitFingerprint, String> {
-        let codes = match w.mirror.overlays.get(&id) {
-            Some(codes) => codes.clone(),
-            None => w.store.get(id).map_err(|e| e.to_string())?.codes,
-        };
-        BbitFingerprint::pack(&codes, self.config.fingerprint_bits).map_err(|e| e.to_string())
+        self.fingerprint(&w.mirror.codes(&w.store, id)?)
     }
 
-    /// Rebuild the fleet at `to` shards, blocking until the swap. Writes
-    /// answer `read_only` for the duration; queries keep serving, degraded
-    /// by the frozen (most-loaded) shard. The new partition is built by
-    /// the cold-open builder over the mirror, so it is byte-identical to a
-    /// from-scratch partition at `to` shards.
+    /// Rebuild the fleet at `to` shards, blocking until the swap. The
+    /// writer lock is held throughout, so writes answer `read_only` for
+    /// the duration while queries keep serving from the old fleet at full
+    /// coverage. The new partition is built by the cold-open builder over
+    /// the mirror, so it is byte-identical to a from-scratch partition at
+    /// `to` shards.
     ///
     /// # Errors
     /// [`ServiceError::ReadOnlyService`] for WAL-less services,
@@ -1425,25 +1274,9 @@ impl Service {
         let _flag = ReshardGuard(&self.resharding);
         // Taking the writer lock waits out any in-flight mutation, so the
         // mirror we build from includes everything acknowledged.
-        let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let w = writer.lock().unwrap_or_else(PoisonError::into_inner);
         let from = self.lock_shards_read().len();
-
-        // Freeze the most-loaded shard — the skew source — behind the
-        // quarantine machinery: queries degrade to partial, no probes.
-        let frozen = w
-            .sizes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &size)| size)
-            .map_or(0, |(shard_id, _)| shard_id);
-        {
-            let mut health = self.lock_health();
-            if let Some(entry) = health.get_mut(frozen) {
-                entry.frozen = true;
-            }
-        }
-
-        let built = build_fleet(
+        let shards = build_fleet(
             &w.store,
             self.algorithm,
             self.bands,
@@ -1451,73 +1284,14 @@ impl Service {
             to,
             &w.mirror,
             "serve::reshard",
-        );
-        let (shards, sizes) = match built {
-            Ok(pair) => pair,
-            Err(e) => {
-                // Abort: unfreeze, old fleet intact, writes resume (the
-                // guard clears the flag).
-                let mut health = self.lock_health();
-                if let Some(entry) = health.get_mut(frozen) {
-                    entry.frozen = false;
-                }
-                return Err(e);
-            }
-        };
+        )?;
         {
             let mut fleet = self.lock_shards_write();
             let mut health = self.lock_health();
             *fleet = shards;
-            *health = (0..to).map(|_| ShardHealth::new()).collect();
+            *health = (0..to).map(|_| ShardHealth::default()).collect();
         }
-        w.sizes = sizes;
         Ok(ReshardReport { from, to, points: w.mirror.live.len() })
-    }
-
-    /// Propose a better shard count, or `None` when the current partition
-    /// is within the configured skew threshold (or skew detection is off,
-    /// or the service is read-only). Deterministic: scans live ids against
-    /// every candidate count up to `reshard_cap`.
-    #[must_use]
-    pub fn plan_reshard(&self) -> Option<usize> {
-        let threshold = self.config.reshard_skew?;
-        let writer = self.writer.as_ref()?;
-        let w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let current = self.lock_shards_read().len();
-        if imbalance(&w.sizes) < threshold {
-            return None;
-        }
-        let cap = self.config.reshard_cap.max(current).max(1);
-        let mut best = (current, imbalance(&w.sizes));
-        for candidate in 1..=cap {
-            if candidate == current {
-                continue;
-            }
-            let mut counts = vec![0usize; candidate];
-            for &id in &w.mirror.live {
-                counts[(id % candidate as u64) as usize] += 1;
-            }
-            let skew = imbalance(&counts);
-            if skew + 1e-9 < best.1 {
-                best = (candidate, skew);
-            }
-        }
-        (best.0 != current).then_some(best.0)
-    }
-
-    /// Kick off [`Self::reshard_blocking`] on a background thread if
-    /// [`Self::plan_reshard`] proposes a count. Returns whether one
-    /// started. Failures (including a concurrent re-shard) are absorbed —
-    /// the old fleet keeps serving either way.
-    pub fn spawn_reshard(self: &Arc<Self>) -> bool {
-        let Some(to) = self.plan_reshard() else { return false };
-        let service = Arc::clone(self);
-        std::thread::Builder::new()
-            .name("wmh-serve-reshard".into())
-            .spawn(move || {
-                let _ = service.reshard_blocking(to);
-            })
-            .is_ok()
     }
 
     /// Health / readiness snapshot. Durability gauges (`wal_records`,
@@ -1556,15 +1330,58 @@ impl Service {
         &self.config
     }
 
-    /// Sketch + fingerprint a document (the insert fast path).
-    fn sketch_doc(&self, doc: &[(u64, f64)]) -> Result<(Sketch, BbitFingerprint), String> {
+    /// Admission: count the request in flight, then apply the global
+    /// in-flight cap and the injectable `serve::admission` rejection for
+    /// overload drills. `Err` carries the overload detail.
+    fn admit(&self) -> Result<InflightGuard<'_>, String> {
+        let admitted = self.inflight.fetch_add(1, Ordering::AcqRel);
+        let guard = InflightGuard(&self.inflight);
+        if let Err(fault) = wmh_fault::point!("serve::admission") {
+            return Err(fault.to_string());
+        }
+        if admitted >= self.config.max_inflight {
+            return Err(format!(
+                "{admitted} requests in flight at cap {}",
+                self.config.max_inflight
+            ));
+        }
+        Ok(guard)
+    }
+
+    /// The seeded backoff hint a retryable rejection carries.
+    fn retry_after_us(&self, request_id: u64) -> u64 {
+        let backoff = self.config.retry.backoff(self.config.seed, request_id, 1);
+        u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX)
+    }
+
+    /// Sketch a document under the service's provenance.
+    fn sketch_doc(&self, doc: &[(u64, f64)]) -> Result<Sketch, String> {
         let set = WeightedSet::from_pairs(doc.iter().copied())
             .map_err(|e| format!("bad document: {e}"))?;
-        let sketch =
-            self.sketcher.sketch(&set).map_err(|e| format!("unsketchable document: {e}"))?;
-        let fp = BbitFingerprint::pack(&sketch.codes, self.config.fingerprint_bits)
-            .map_err(|e| e.to_string())?;
-        Ok((sketch, fp))
+        self.sketcher.sketch(&set).map_err(|e| format!("unsketchable document: {e}"))
+    }
+
+    /// Pack codes into the re-ranking fingerprint.
+    fn fingerprint(&self, codes: &[u64]) -> Result<BbitFingerprint, String> {
+        BbitFingerprint::pack(codes, self.config.fingerprint_bits).map_err(|e| e.to_string())
+    }
+
+    /// The shard apply op for a validated transition: the codes the mirror
+    /// commits, as a sketch plus its packed fingerprint.
+    fn apply_op(&self, t: &Transition) -> Result<ApplyOp, String> {
+        let id = t.id;
+        let Some(codes) = &t.codes else { return Ok(ApplyOp::Delete { id }) };
+        let fp = self.fingerprint(codes)?;
+        let sketch = Sketch {
+            algorithm: self.sketcher.name().to_owned(),
+            seed: self.sketcher.seed(),
+            codes: codes.clone(),
+        };
+        // A stream step may create its id or refresh it, so it upserts.
+        Ok(match t.stream {
+            Some(_) => ApplyOp::Upsert { id, sketch, fp },
+            None => ApplyOp::Insert { id, sketch, fp },
+        })
     }
 
     /// Poison-tolerant locks: a panicking thread (impossible by the
@@ -1597,83 +1414,6 @@ impl Drop for Service {
     }
 }
 
-/// Prepared write: the WAL record, the shard apply op, and (for streams)
-/// the post-mutation HistoSketch state to commit into the mirror.
-type PreparedWrite = (Mutation, ApplyOp, Option<HistoSketch>);
-
-/// Validate a mutation against the live-id bookkeeping and derive its
-/// (record, apply-op) pair. Runs entirely *before* the WAL append: every
-/// `Err` here is a `bad_request` that commits nothing.
-fn prepare_mutation(
-    w: &WriteState,
-    request: &MutationRequest,
-    presketched: Option<(Sketch, BbitFingerprint)>,
-    sketcher: &(dyn Sketcher + Send + Sync),
-    config: &ServiceConfig,
-) -> Result<PreparedWrite, String> {
-    let id = request.id;
-    match &request.kind {
-        MutationKind::Insert { .. } => {
-            if w.mirror.live.contains(&id) {
-                return Err(format!("id {id} is already indexed (delete it first, or stream)"));
-            }
-            let (sketch, fp) =
-                presketched.ok_or_else(|| "insert without a pre-sketched document".to_owned())?;
-            let record = Mutation::Insert { id, codes: sketch.codes.clone() };
-            Ok((record, ApplyOp::Insert { id, sketch, fp }, None))
-        }
-        MutationKind::Delete => {
-            if !w.mirror.live.contains(&id) {
-                return Err(format!("id {id} is not indexed"));
-            }
-            Ok((Mutation::Delete { id }, ApplyOp::Delete { id }, None))
-        }
-        MutationKind::Stream { lambda, items } => {
-            // A static (non-streaming) live id has no histogram to decay;
-            // streaming onto it would silently replace its content.
-            let state = match w.mirror.streams.get(&id) {
-                Some(state) => Some(state.clone()),
-                None if w.mirror.live.contains(&id) => {
-                    return Err(format!(
-                        "id {id} is indexed but not a streaming document; delete it first"
-                    ))
-                }
-                None => None,
-            };
-            if state.is_none() && items.is_empty() {
-                return Err(format!("cannot create streaming id {id} from an empty item list"));
-            }
-            let mut state = match state {
-                Some(state) => state,
-                None => HistoSketch::new(w.store.seed(), sketcher.num_hashes())
-                    .map_err(|e| e.to_string())?,
-            };
-            state.decay(*lambda).map_err(|e| e.to_string())?;
-            for &(k, mass) in items {
-                state.add(k, mass).map_err(|e| e.to_string())?;
-            }
-            let set = state.histogram().map_err(|e| format!("stream state: {e}"))?;
-            let sketch =
-                sketcher.sketch(&set).map_err(|e| format!("unsketchable stream state: {e}"))?;
-            let fp = BbitFingerprint::pack(&sketch.codes, config.fingerprint_bits)
-                .map_err(|e| e.to_string())?;
-            let record = Mutation::Stream { id, lambda: *lambda, items: items.clone() };
-            Ok((record, ApplyOp::Upsert { id, sketch, fp }, Some(state)))
-        }
-    }
-}
-
-/// Imbalance of a partition: max shard size over the ideal (uniform)
-/// size. 1.0 is perfectly balanced; an empty fleet reads as balanced.
-fn imbalance(sizes: &[usize]) -> f64 {
-    let total: usize = sizes.iter().sum();
-    let max = sizes.iter().copied().max().unwrap_or(0);
-    if total == 0 || sizes.is_empty() {
-        return 1.0;
-    }
-    (max * sizes.len()) as f64 / total as f64
-}
-
 /// The WAL/snapshot provenance binding of a store.
 fn provenance_of(store: &SketchStore) -> WalProvenance {
     WalProvenance {
@@ -1694,14 +1434,10 @@ fn build_sketcher(algorithm: Algorithm, store: &SketchStore) -> Result<DynSketch
 /// fingerprints for every point it owns.
 type ShardContents = (LshIndex<DynSketcher>, HashMap<u64, BbitFingerprint>);
 
-/// Spawned shard workers plus per-shard sizes, as produced by
-/// [`build_fleet`].
-type FleetParts = (Vec<Shard>, Vec<usize>);
-
-/// Build every shard of a fleet at `count` shards from the mirror, spawn
-/// the workers, and report per-shard sizes. Used by cold open, self-heal
-/// (single shard via [`build_shard`]), and re-shard — one builder, so
-/// every path converges byte-identical.
+/// Build every shard of a fleet at `count` shards from the mirror and
+/// spawn the workers. Used by cold open and re-shard; self-heal rebuilds
+/// one shard through the same [`spawn_shard`], so every path converges
+/// byte-identical.
 fn build_fleet(
     store: &SketchStore,
     algorithm: Algorithm,
@@ -1710,43 +1446,42 @@ fn build_fleet(
     count: usize,
     mirror: &Mirror,
     failpoint: &'static str,
-) -> Result<FleetParts, ServiceError> {
-    let mut shards = Vec::with_capacity(count);
-    let mut sizes = Vec::with_capacity(count);
-    for shard_id in 0..count {
-        let built = supervise(&config.retry, config.seed, shard_id as u64, |_| {
-            build_shard(store, algorithm, bands, config, shard_id, count, mirror, failpoint)
-        });
-        let (index, fingerprints) = match built {
-            CellOutcome::Completed(Ok(contents)) => contents,
-            CellOutcome::Completed(Err(error)) => {
-                return Err(ServiceError::Ingest { shard: shard_id, attempts: 1, error })
-            }
-            CellOutcome::TimedOut => {
-                return Err(ServiceError::Ingest {
-                    shard: shard_id,
-                    attempts: 1,
-                    error: "ingest deadline".into(),
-                })
-            }
-            CellOutcome::Quarantined { attempts, error } => {
-                return Err(ServiceError::Ingest { shard: shard_id, attempts, error })
-            }
-        };
-        sizes.push(index.len());
-        shards.push(
-            Shard::spawn(
-                shard_id,
-                index,
-                fingerprints,
-                config.queue_depth,
-                config.retry,
-                config.seed,
-            )
-            .map_err(ServiceError::Spawn)?,
-        );
-    }
-    Ok((shards, sizes))
+) -> Result<Vec<Shard>, ServiceError> {
+    (0..count)
+        .map(|shard_id| {
+            spawn_shard(store, algorithm, bands, config, shard_id, count, mirror, failpoint)
+        })
+        .collect()
+}
+
+/// Build shard `shard_id` of a `count`-shard fleet under the retry policy
+/// (injected `failpoint` faults restart the whole build) and spawn its
+/// worker.
+#[allow(clippy::too_many_arguments)]
+fn spawn_shard(
+    store: &SketchStore,
+    algorithm: Algorithm,
+    bands: Bands,
+    config: &ServiceConfig,
+    shard_id: usize,
+    count: usize,
+    mirror: &Mirror,
+    failpoint: &'static str,
+) -> Result<Shard, ServiceError> {
+    let built = supervise(&config.retry, config.seed, shard_id as u64, |_| {
+        build_shard(store, algorithm, bands, config, shard_id, count, mirror, failpoint)
+    });
+    let ingest = |attempts, error| ServiceError::Ingest { shard: shard_id, attempts, error };
+    let (index, fingerprints) = match built {
+        CellOutcome::Completed(Ok(contents)) => contents,
+        CellOutcome::Completed(Err(error)) => return Err(ingest(1, error)),
+        // Shard builds carry no deadline, but a typed failure is the
+        // honest fallback if that ever changes.
+        CellOutcome::TimedOut => return Err(ingest(1, "ingest deadline".into())),
+        CellOutcome::Quarantined { attempts, error } => return Err(ingest(attempts, error)),
+    };
+    Shard::spawn(shard_id, index, fingerprints, config.queue_depth, config.retry, config.seed)
+        .map_err(ServiceError::Spawn)
 }
 
 /// One attempt at building a shard: batch-ingest its slice of the live
@@ -1787,17 +1522,12 @@ fn build_shard(
             return Attempt::Transient(fault.to_string());
         }
         for &id in batch {
-            let sketch = match mirror.overlays.get(&id) {
-                Some(codes) => Sketch {
-                    algorithm: store.algorithm().to_owned(),
-                    seed: store.seed(),
-                    codes: codes.clone(),
-                },
-                None => match store.get(id) {
-                    Ok(sketch) => sketch,
-                    Err(e) => return Attempt::Done(Err(e.to_string())),
-                },
+            let codes = match mirror.codes(store, id) {
+                Ok(codes) => codes,
+                Err(e) => return Attempt::Done(Err(e)),
             };
+            let sketch =
+                Sketch { algorithm: store.algorithm().to_owned(), seed: store.seed(), codes };
             let fp = match BbitFingerprint::pack(&sketch.codes, bits) {
                 Ok(fp) => fp,
                 Err(e) => return Attempt::Done(Err(e.to_string())),

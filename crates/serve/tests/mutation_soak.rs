@@ -18,7 +18,8 @@
 //! * **Re-sharding converges byte-identically** to a from-scratch
 //!   partition at the new shard count, even when the rebuild itself is
 //!   fault-injected (`serve::reshard`); a permanently failing rebuild is a
-//!   typed error that leaves the old fleet serving.
+//!   typed error that leaves the old fleet serving. While a re-shard runs,
+//!   queries answer `ok` at full coverage from the old fleet.
 //!
 //! Every test holds a [`wmh_fault::scenario`] guard for its full duration,
 //! so schedules cannot leak across concurrently scheduled tests.
@@ -379,6 +380,46 @@ fn failed_reshard_leaves_the_old_fleet_serving() {
         deadline_us: Some(5_000_000),
     });
     assert_eq!(write.outcome, Outcome::Ok, "writes must resume after the abort: {write:?}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A re-shard holds the writer lock for its whole rebuild, so the old
+/// fleet cannot go stale before the swap: queries answer `ok` at full
+/// coverage throughout, while writes degrade to a retryable `read_only`.
+#[test]
+fn queries_during_reshard_answer_ok_at_full_coverage() {
+    let _guard = wmh_fault::scenario("serve::reshard=always:sleep200ms", seed()).expect("scenario");
+    let docs = corpus(24);
+    let store = store_for(&docs);
+    let dir = scratch("reshard-serving");
+    let service = Service::open(&store, &dir.join("soak.wal"), config(2)).expect("open");
+    run_script(&service, &script(&docs, 8));
+
+    let mut queried = 0u64;
+    std::thread::scope(|scope| {
+        let reshard = scope.spawn(|| service.reshard_blocking(4));
+        while !service.health().resharding {
+            assert!(!reshard.is_finished(), "the re-shard ended before it was observed");
+            std::thread::yield_now();
+        }
+        let write = service.mutate(&MutationRequest {
+            id: 44_000_000,
+            kind: MutationKind::Insert { doc: docs[0].iter().collect() },
+            deadline_us: Some(5_000_000),
+        });
+        assert_eq!(write.outcome, Outcome::ReadOnly, "{write:?}");
+        assert!(!write.durable && write.retry_after_us > 0, "{write:?}");
+        while service.health().resharding {
+            let doc = &docs[queried as usize % docs.len()];
+            let response = service.query(&query(doc, queried));
+            assert_eq!(response.outcome, Outcome::Ok, "mid-re-shard query: {response:?}");
+            assert_eq!(response.coverage, 1.0, "mid-re-shard query: {response:?}");
+            queried += 1;
+        }
+        let report = reshard.join().expect("re-shard thread").expect("re-shard");
+        assert_eq!((report.from, report.to), (2, 4));
+    });
+    assert!(queried > 0, "no query ran while the re-shard was in progress");
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -93,6 +93,7 @@ register scrub-gate "flipped-bit detection/quarantine/heal, called out by name"
 register serve-smoke "loopback server answers every outcome class typed"
 register mutation-smoke "live-mutation soak over the wire with kill-resume"
 register schema-check "every checked-in results/*.json matches its schema"
+register bench-check "test and smoke-run the repository benchmark (its own workspace)"
 register perf-gate "wmh-perf quick suite vs results/BENCH_baseline.json (full mode only)"
 register perf-trajectory "compare the two newest checked-in trajectory points"
 register fmt "cargo fmt --check (advisory if rustfmt missing)"
@@ -255,6 +256,16 @@ step_mutation_smoke() {
 # unregistered file name is a failure.
 step_schema_check() {
   run cargo run "${RELEASE[@]}" -q -p wmh-perf --bin schema_check -- results
+}
+
+# The repository benchmark (benchmark/) is its own workspace with path
+# dependencies on the serve crate, so the workspace build above does not
+# compile it: a serve API change could break it unnoticed. Test it, then
+# run every workload once at smoke scale.
+step_bench_check() {
+  run cargo test --offline --manifest-path benchmark/Cargo.toml
+  run cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload all --smoke
 }
 
 # Performance gate: the wmh-perf quick suite vs results/BENCH_baseline.json
