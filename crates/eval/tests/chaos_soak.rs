@@ -23,18 +23,6 @@ use wmh_eval::{runner, Measurement, RetryPolicy, RunOptions, Scale};
 const TRANSIENT_CHAOS: &str = "sweep::cell=1in3;checkpoint::write=1in4;\
                                checkpoint::torn_write=1in5;par::worker_delay=p0.2:sleep300us";
 
-/// The pinned CI seed, if any: `WMH_FAULT_SEED` as decimal or `0x`-hex,
-/// same syntax `wmh_fault::init_from_env` accepts.
-fn env_seed() -> Option<u64> {
-    let raw = std::env::var("WMH_FAULT_SEED").ok()?;
-    let raw = raw.trim();
-    let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => raw.parse(),
-    };
-    parsed.ok()
-}
-
 fn temp_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("wmh_chaos_soak_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -73,7 +61,7 @@ fn transient_chaos_is_byte_identical_to_a_fault_free_run() {
     // CI pins an extra seed via WMH_FAULT_SEED (see scripts/ci.sh); the
     // byte-identity claim is seed-independent, so any seed must pass.
     let mut seeds = vec![0x51u64, 0x52, 0x53];
-    if let Some(pinned) = env_seed() {
+    if let Some(pinned) = wmh_fault::env_seed().expect("WMH_FAULT_SEED") {
         seeds.push(pinned);
     }
 

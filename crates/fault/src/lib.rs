@@ -74,7 +74,7 @@ pub mod supervisor;
 
 pub use registry::{fired, hits, Fault};
 pub use scenario::{
-    clear, configure, init_from_env, scenario, Activation, ScenarioError, ScenarioGuard,
+    clear, configure, env_seed, init_from_env, scenario, Activation, ScenarioError, ScenarioGuard,
 };
 
 /// Hit the named failpoint; `tag` scopes the hit for `@tag` filters.

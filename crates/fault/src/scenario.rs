@@ -223,24 +223,41 @@ pub fn scenario(spec: &str, seed: u64) -> Result<ScenarioGuard, ScenarioError> {
     Ok(ScenarioGuard { _lock: lock })
 }
 
-/// The scenario / seed pair as read from the environment.
-fn activate(faults: Option<&str>, seed_text: Option<&str>) -> Result<Activation, ScenarioError> {
+/// A `WMH_FAULT_SEED` value: decimal or `0x`-hex; unset or blank is `None`.
+fn parse_seed(text: Option<&str>) -> Result<Option<u64>, ScenarioError> {
+    let Some(text) = text.map(str::trim).filter(|s| !s.is_empty()) else {
+        return Ok(None);
+    };
+    let parsed = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => text.parse(),
+    };
+    parsed.map(Some).map_err(|_| ScenarioError::BadSeed { value: text.to_owned() })
+}
+
+/// The seed pinned by `WMH_FAULT_SEED` (decimal or `0x`-hex), if any —
+/// the one [`init_from_env`] installs, exposed so fault-injecting tests
+/// can honour the same pin.
+///
+/// # Errors
+/// [`ScenarioError::BadSeed`] if the variable is set but not a `u64`.
+pub fn env_seed() -> Result<Option<u64>, ScenarioError> {
+    parse_seed(std::env::var("WMH_FAULT_SEED").ok().as_deref())
+}
+
+/// The scenario / seed pair as read from the environment. A bad seed is
+/// reported only when a scenario would actually be installed.
+fn activate(
+    faults: Option<&str>,
+    seed: Result<Option<u64>, ScenarioError>,
+) -> Result<Activation, ScenarioError> {
     let Some(faults) = faults.map(str::trim).filter(|f| !f.is_empty()) else {
         return Ok(Activation::Inactive);
     };
     if !cfg!(feature = "failpoints") {
         return Ok(Activation::CompiledOut);
     }
-    let seed = match seed_text.map(str::trim).filter(|s| !s.is_empty()) {
-        None => 0,
-        Some(text) => {
-            let parsed = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-                Some(hex) => u64::from_str_radix(hex, 16),
-                None => text.parse(),
-            };
-            parsed.map_err(|_| ScenarioError::BadSeed { value: text.to_owned() })?
-        }
-    };
+    let seed = seed?.unwrap_or(0);
     let specs = configure(faults, seed)?;
     Ok(Activation::Active { specs, seed })
 }
@@ -259,8 +276,7 @@ fn activate(faults: Option<&str>, seed_text: Option<&str>) -> Result<Activation,
 /// [`ScenarioError`] if either variable fails to parse.
 pub fn init_from_env() -> Result<Activation, ScenarioError> {
     let faults = std::env::var("WMH_FAULTS").ok();
-    let seed = std::env::var("WMH_FAULT_SEED").ok();
-    activate(faults.as_deref(), seed.as_deref())
+    activate(faults.as_deref(), env_seed())
 }
 
 #[cfg(test)]
@@ -315,8 +331,17 @@ mod tests {
 
     #[test]
     fn blank_env_is_inactive() {
-        assert_eq!(activate(None, None), Ok(Activation::Inactive));
-        assert_eq!(activate(Some("   "), None), Ok(Activation::Inactive));
+        assert_eq!(activate(None, Ok(None)), Ok(Activation::Inactive));
+        assert_eq!(activate(Some("   "), Ok(None)), Ok(Activation::Inactive));
+    }
+
+    #[test]
+    fn seeds_parse_as_decimal_or_hex_and_blank_is_unset() {
+        assert_eq!(parse_seed(None), Ok(None));
+        assert_eq!(parse_seed(Some("  ")), Ok(None));
+        assert_eq!(parse_seed(Some(" 42 ")), Ok(Some(42)));
+        assert_eq!(parse_seed(Some("0XC1A05")), Ok(Some(0xC1A05)));
+        assert!(matches!(parse_seed(Some("0xZZ")), Err(ScenarioError::BadSeed { .. })));
     }
 
     #[test]
@@ -325,7 +350,7 @@ mod tests {
             return; // feature-off builds report CompiledOut before seed parsing
         }
         assert!(matches!(
-            activate(Some("a=once"), Some("not-a-number")),
+            activate(Some("a=once"), parse_seed(Some("not-a-number"))),
             Err(ScenarioError::BadSeed { .. })
         ));
     }
@@ -334,11 +359,12 @@ mod tests {
     #[test]
     fn env_activation_parses_seeds_and_installs() {
         let _lock = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let active = activate(Some("env::point=always"), Some("0xDEADBEEF")).expect("activate");
+        let active =
+            activate(Some("env::point=always"), parse_seed(Some("0xDEADBEEF"))).expect("activate");
         assert_eq!(active, Activation::Active { specs: 1, seed: 0xDEAD_BEEF });
         assert!(crate::hit("env::point", None).is_err());
         clear();
-        let active = activate(Some("env::point=never"), Some("42")).expect("activate");
+        let active = activate(Some("env::point=never"), parse_seed(Some("42"))).expect("activate");
         assert_eq!(active, Activation::Active { specs: 1, seed: 42 });
         assert!(crate::hit("env::point", None).is_ok());
         clear();
@@ -347,6 +373,6 @@ mod tests {
     #[cfg(not(feature = "failpoints"))]
     #[test]
     fn feature_off_reports_compiled_out() {
-        assert_eq!(activate(Some("a=always"), None), Ok(Activation::CompiledOut));
+        assert_eq!(activate(Some("a=always"), Ok(None)), Ok(Activation::CompiledOut));
     }
 }

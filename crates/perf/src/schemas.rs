@@ -150,40 +150,6 @@ fn streaming_study() -> Schema {
     }))
 }
 
-/// Schema tag the serve crate stamps on load reports; pinned here as a
-/// literal so the registry has no serve dependency (a cross-crate test
-/// asserts it equals `wmh_serve::LOAD_SCHEMA_VERSION`).
-const SERVE_LOAD_SCHEMA_VERSION: &str = "wmh-serve-load/v1";
-
-/// The `wmh-serve load` report (`results/BENCH_serve_load.json`): latency
-/// percentiles plus the typed-outcome accounting of one closed-loop run.
-#[must_use]
-pub fn serve_load() -> Schema {
-    Schema::object(vec![
-        ("schema", Schema::Const(SERVE_LOAD_SCHEMA_VERSION)),
-        ("corpus", Schema::Str),
-        ("docs", Schema::UInt),
-        ("shards", Schema::UInt),
-        ("requests", Schema::UInt),
-        ("concurrency", Schema::UInt),
-        ("deadline_us", Schema::UInt),
-        ("elapsed_secs", Schema::Number),
-        ("throughput_rps", Schema::Number),
-        ("p50_us", Schema::UInt),
-        ("p99_us", Schema::UInt),
-        ("max_us", Schema::UInt),
-        ("ok", Schema::UInt),
-        ("partial", Schema::UInt),
-        ("deadline_exceeded", Schema::UInt),
-        ("overloaded", Schema::UInt),
-        ("bad_request", Schema::UInt),
-        ("read_only", Schema::UInt),
-        ("writes", Schema::UInt),
-        ("shed_slices", Schema::UInt),
-        ("min_coverage", Schema::Number),
-    ])
-}
-
 /// Look up the schema for a `results/` file by its file name.
 ///
 /// Returns `None` for unregistered names — the checker treats that as a
@@ -192,9 +158,6 @@ pub fn serve_load() -> Schema {
 pub fn schema_for(file_name: &str) -> Option<Schema> {
     if file_name == "BENCH_par_sweep.json" {
         return Some(par_sweep());
-    }
-    if file_name == "BENCH_serve_load.json" {
-        return Some(serve_load());
     }
     if file_name == "BENCH_baseline.json" || file_name.starts_with("BENCH_fig9") {
         return Some(perf_report());
@@ -381,37 +344,6 @@ mod tests {
         let report = crate::report::Report::new("fig9_hot", "quick", results);
         let value = Json::parse(&wmh_json::to_string(&report)).expect("renders valid JSON");
         perf_report().validate(&value).expect("schema matches the head-to-head rows");
-    }
-
-    #[test]
-    fn serve_load_schema_accepts_the_serve_writer() {
-        assert_eq!(SERVE_LOAD_SCHEMA_VERSION, wmh_serve::LOAD_SCHEMA_VERSION);
-        let report = wmh_serve::LoadReport {
-            schema: wmh_serve::LOAD_SCHEMA_VERSION.to_owned(),
-            corpus: "Syn3E0.24S".to_owned(),
-            docs: 600,
-            shards: 4,
-            requests: 2000,
-            concurrency: 4,
-            deadline_us: 20_000,
-            elapsed_secs: 1.25,
-            throughput_rps: 1600.0,
-            p50_us: 180,
-            p99_us: 950,
-            max_us: 2100,
-            ok: 1990,
-            partial: 6,
-            deadline_exceeded: 3,
-            overloaded: 1,
-            bad_request: 0,
-            read_only: 0,
-            writes: 250,
-            shed_slices: 2,
-            min_coverage: 0.75,
-        };
-        report.validate().expect("writer invariants");
-        let value = Json::parse(&wmh_json::to_string(&report)).expect("renders valid JSON");
-        serve_load().validate(&value).expect("schema matches the writer");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! A minimal blocking client for the framed JSON protocol — what the
-//! smoke test, the load generator's TCP mode, and operators' scripts use.
+//! TCP integration tests, the repository benchmark, and operators' scripts
+//! use.
 
 use std::net::{TcpStream, ToSocketAddrs};
 

@@ -58,17 +58,17 @@
 //! `serve::wal_replay` tagged by generation, `serve::snapshot_write`,
 //! `serve::snapshot_fsync`, `serve::snapshot_rename`, `serve::scrub`,
 //! `serve::scrub_audit` tagged by shard id); the crate's chaos soaks
-//! drive the closed-loop [`loadgen`] and the kill-resume/mutation/snapshot
-//! scripts under injected faults, asserting that outcome counts always
-//! sum to requests issued and that recovery — quarantine repair, WAL
-//! replay, snapshot restore, shard self-heal, re-shard — is
-//! byte-identical to never having failed.
+//! drive concurrent queries and the kill-resume/mutation/snapshot scripts
+//! under injected faults, asserting that every request gets a typed
+//! outcome and that recovery — quarantine repair, WAL replay, snapshot
+//! restore, shard self-heal, re-shard — is byte-identical to never having
+//! failed. Serving load is measured over TCP by the repository benchmark
+//! (`benchmark/`), not in-process.
 
 pub mod client;
 pub mod deadline;
 pub mod fingerprint;
 pub mod gate;
-pub mod loadgen;
 pub mod protocol;
 pub mod scrub;
 pub mod server;
@@ -82,7 +82,6 @@ pub use client::{Client, ClientError};
 pub use deadline::Deadline;
 pub use fingerprint::{BbitFingerprint, FingerprintError};
 pub use gate::{WriteAdmission, WriteGate};
-pub use loadgen::{LoadConfig, LoadReport, LOAD_SCHEMA_VERSION};
 pub use protocol::{
     HealthResponse, MutationKind, MutationRequest, MutationResponse, Outcome, QueryRequest,
     QueryResponse, Request, Response,

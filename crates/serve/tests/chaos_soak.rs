@@ -3,8 +3,8 @@
 //! The claims under test, with deterministic failpoint schedules:
 //!
 //! * **Every request terminates with a typed outcome**, faults or not —
-//!   the load generator's accounting invariant holds under injected shard
-//!   failures and admission rejections.
+//!   concurrent queries under injected shard failures and admission
+//!   rejections each get one of the six outcomes, never a hang or a panic.
 //! * **Quarantine is reversible and invisible afterwards**: once a faulty
 //!   shard recovers through half-open probes, responses are byte-identical
 //!   to a service that never failed.
@@ -17,42 +17,13 @@
 //! [`wmh_fault::configure`]/[`wmh_fault::clear`] without releasing the
 //! lock), so scenarios cannot leak across concurrently scheduled tests.
 
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use wmh_core::{SketchStore, Sketcher};
-use wmh_data::PAPER_DATASETS;
-use wmh_fault::supervisor::RetryPolicy;
-use wmh_serve::{loadgen, LoadConfig, Outcome, QueryRequest, Service, ServiceConfig, ServiceError};
+use wmh_serve::{Outcome, QueryRequest, Service, ServiceConfig, ServiceError};
 use wmh_sets::WeightedSet;
 
-/// The pinned CI seed, if any: `WMH_FAULT_SEED` as decimal or `0x`-hex,
-/// same syntax `wmh_fault::init_from_env` accepts.
-fn env_seed() -> Option<u64> {
-    let raw = std::env::var("WMH_FAULT_SEED").ok()?;
-    let raw = raw.trim();
-    let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => raw.parse(),
-    };
-    parsed.ok()
-}
-
-fn seed() -> u64 {
-    env_seed().unwrap_or(0xC1A05)
-}
-
-fn corpus(n: usize) -> Vec<WeightedSet> {
-    PAPER_DATASETS[2].scaled_down_preserving_overlap(n, 20_000).generate(7).expect("corpus").docs
-}
-
-fn store_for(docs: &[WeightedSet]) -> SketchStore {
-    let sketcher = wmh_core::cws::Icws::new(9, 128);
-    let mut store = SketchStore::new();
-    for (id, doc) in docs.iter().enumerate() {
-        store.insert(id as u64, &sketcher.sketch(doc).expect("sketch")).expect("insert");
-    }
-    store
-}
+mod common;
+use common::{corpus, fast_retry, seed, store_for};
 
 fn config(shards: usize) -> ServiceConfig {
     ServiceConfig {
@@ -60,16 +31,6 @@ fn config(shards: usize) -> ServiceConfig {
         default_deadline_us: 5_000_000,
         probe_every: 4,
         ..ServiceConfig::default()
-    }
-}
-
-/// Backoffs in microseconds, not milliseconds, so deliberately exhausted
-/// retry budgets do not dominate the soak's wall clock.
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        max_retries: 8,
-        base_backoff: Duration::from_micros(50),
-        max_backoff: Duration::from_millis(2),
     }
 }
 
@@ -190,21 +151,31 @@ fn permanent_ingest_failure_is_a_typed_error() {
     }
 }
 
-/// The load generator's accounting under probabilistic chaos, then the
-/// fleet recovered and re-measured fault-free.
+/// Every query under probabilistic chaos gets a typed outcome; then the
+/// faults clear, probes repair the fleet, and it serves everything again.
 #[test]
-fn loadgen_accounts_every_request_under_chaos() {
+fn every_request_is_typed_under_chaos_then_recovers() {
     let _guard = wmh_fault::scenario("serve::shard_query=p0.2;serve::admission=p0.05", seed())
         .expect("scenario");
     let docs = corpus(64);
     let service = Service::from_store(&store_for(&docs), config(4)).expect("service");
-    let query_docs: Vec<Vec<(u64, f64)>> = docs.iter().map(|d| d.iter().collect()).collect();
 
-    let chaos_config =
-        LoadConfig { requests: 240, concurrency: 4, k: 10, deadline_us: 20_000, write_every: 0 };
-    let chaotic = loadgen::run(&service, "Syn3E0.24S-soak", &query_docs, &chaos_config);
-    chaotic.validate().expect("typed-outcome accounting must survive chaos");
-    assert_eq!(chaotic.requests, 240);
+    // 240 queries from 4 threads, each tallied under its outcome.
+    let tally: [AtomicUsize; 6] = Default::default();
+    wmh_check::stress::hammer(4, 60, |t, i| {
+        let n = t * 60 + i;
+        let request =
+            QueryRequest { deadline_us: Some(20_000), ..query(&docs[n % docs.len()], n as u64) };
+        let response = service.query(&request);
+        if matches!(response.outcome, Outcome::Ok | Outcome::Partial) {
+            assert!((0.0..=1.0).contains(&response.coverage), "{response:?}");
+        }
+        let slot = Outcome::ALL.iter().position(|&o| o == response.outcome).expect("typed");
+        tally[slot].fetch_add(1, Ordering::Relaxed);
+    });
+    let tally: Vec<usize> = tally.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+    assert_eq!(tally.iter().sum::<usize>(), 240, "every request must be typed: {tally:?}");
+    assert!(tally[0] < 240, "the chaos schedule never fired: {tally:?}");
 
     // Faults off; let probes repair whatever got quarantined.
     wmh_fault::clear();
@@ -218,11 +189,12 @@ fn loadgen_accounts_every_request_under_chaos() {
     }
     assert!(recovered, "quarantined shards never recovered after chaos");
 
-    let calm_config =
-        LoadConfig { requests: 160, concurrency: 4, k: 10, deadline_us: 2_000_000, write_every: 0 };
-    let calm = loadgen::run(&service, "Syn3E0.24S-soak", &query_docs, &calm_config);
-    calm.validate().expect("fault-free accounting");
-    assert_eq!(calm.ok, calm.requests, "recovered fleet must serve everything: {calm:?}");
-    assert_eq!(calm.min_coverage, 1.0, "{calm:?}");
-    assert_eq!(calm.shed_slices, 0, "{calm:?}");
+    // 160 calm queries: the recovered fleet serves every one in full.
+    wmh_check::stress::hammer(4, 40, |t, i| {
+        let n = t * 40 + i;
+        let response = service.query(&query(&docs[n % docs.len()], 20_000 + n as u64));
+        assert_eq!(response.outcome, Outcome::Ok, "recovered fleet must serve: {response:?}");
+        assert_eq!(response.coverage, 1.0, "{response:?}");
+        assert_eq!(response.shed, 0, "{response:?}");
+    });
 }

@@ -25,53 +25,15 @@
 //! so schedules cannot leak across concurrently scheduled tests.
 
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use wmh_core::{SketchStore, Sketcher};
-use wmh_data::PAPER_DATASETS;
-use wmh_fault::supervisor::RetryPolicy;
 use wmh_serve::{
     MutationKind, MutationRequest, Outcome, QueryRequest, Service, ServiceConfig, ServiceError,
 };
 use wmh_sets::WeightedSet;
 
-fn env_seed() -> Option<u64> {
-    let raw = std::env::var("WMH_FAULT_SEED").ok()?;
-    let raw = raw.trim();
-    let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => raw.parse(),
-    };
-    parsed.ok()
-}
-
-fn seed() -> u64 {
-    env_seed().unwrap_or(0xC1A05)
-}
-
-fn corpus(n: usize) -> Vec<WeightedSet> {
-    PAPER_DATASETS[2].scaled_down_preserving_overlap(n, 20_000).generate(7).expect("corpus").docs
-}
-
-fn store_for(docs: &[WeightedSet]) -> SketchStore {
-    let sketcher = wmh_core::cws::Icws::new(9, 128);
-    let mut store = SketchStore::new();
-    for (id, doc) in docs.iter().enumerate() {
-        store.insert(id as u64, &sketcher.sketch(doc).expect("sketch")).expect("insert");
-    }
-    store
-}
-
-/// Backoffs in microseconds so deliberately exhausted retry budgets do not
-/// dominate the soak's wall clock.
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        max_retries: 8,
-        base_backoff: Duration::from_micros(50),
-        max_backoff: Duration::from_millis(2),
-    }
-}
+mod common;
+use common::{corpus, fast_retry, probe, scratch, script, seed, store_for};
 
 fn config(shards: usize) -> ServiceConfig {
     ServiceConfig {
@@ -82,52 +44,8 @@ fn config(shards: usize) -> ServiceConfig {
     }
 }
 
-/// A per-test scratch directory under the target-adjacent temp root.
-fn scratch(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "wmh-mutation-soak-{label}-{}-{:x}",
-        std::process::id(),
-        seed()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
 fn query(doc: &WeightedSet, id: u64) -> QueryRequest {
     QueryRequest { id, doc: doc.iter().collect(), k: 10, deadline_us: Some(5_000_000) }
-}
-
-/// Probe responses as rendered wire JSON — the byte-identity currency.
-fn probe(service: &Service, docs: &[WeightedSet]) -> Vec<String> {
-    docs.iter()
-        .enumerate()
-        .map(|(i, doc)| wmh_json::to_string(&service.query(&query(doc, i as u64))))
-        .collect()
-}
-
-/// The soak's mutation mix: inserts of fresh ids, streaming creates and
-/// drifts, deletes chasing earlier inserts — deterministic given `n`.
-fn script(docs: &[WeightedSet], n: usize) -> Vec<MutationRequest> {
-    let base = 1_000_000u64;
-    (0..n)
-        .map(|i| {
-            let doc: Vec<(u64, f64)> = docs[i % docs.len()].iter().collect();
-            let (id, kind) = match i % 4 {
-                0 => (base + i as u64, MutationKind::Insert { doc }),
-                1 => (
-                    base + 500_000 + (i / 8) as u64,
-                    MutationKind::Stream { lambda: 0.5, items: doc },
-                ),
-                2 => (base + (i - 2) as u64, MutationKind::Delete),
-                _ => (
-                    base + 500_000 + (i / 8) as u64,
-                    MutationKind::Stream { lambda: 0.9, items: doc },
-                ),
-            };
-            MutationRequest { id, kind, deadline_us: Some(5_000_000) }
-        })
-        .collect()
 }
 
 /// Drive `script` through the service and return the requests it
@@ -450,14 +368,5 @@ fn foreign_wal_is_rejected_typed() {
         Err(other) => panic!("wrong error: {other}"),
         Ok(_) => panic!("foreign WAL replayed against a mismatched store"),
     }
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-/// `Path`-level sanity shared by every test above: the scratch root is
-/// inside the OS temp dir, never the repo.
-#[test]
-fn scratch_dirs_live_under_tmp() {
-    let dir = scratch("sanity");
-    assert!(dir.starts_with(Path::new(&std::env::temp_dir())));
     let _ = std::fs::remove_dir_all(dir);
 }

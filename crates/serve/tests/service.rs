@@ -4,24 +4,11 @@
 
 use std::sync::Arc;
 
-use wmh_core::{SketchStore, Sketcher};
-use wmh_data::PAPER_DATASETS;
 use wmh_serve::{wire, Client, Outcome, QueryRequest, Response, Server, Service, ServiceConfig};
 use wmh_sets::WeightedSet;
 
-/// A small Table-4-shaped corpus (`Syn3E0.24S` scaled preserving overlap).
-fn corpus(n: usize) -> Vec<WeightedSet> {
-    PAPER_DATASETS[2].scaled_down_preserving_overlap(n, 20_000).generate(7).expect("corpus").docs
-}
-
-fn store_for(docs: &[WeightedSet]) -> SketchStore {
-    let sketcher = wmh_core::cws::Icws::new(9, 128);
-    let mut store = SketchStore::new();
-    for (id, doc) in docs.iter().enumerate() {
-        store.insert(id as u64, &sketcher.sketch(doc).expect("sketch")).expect("insert");
-    }
-    store
-}
+mod common;
+use common::{corpus, store_for};
 
 /// Generous default deadline so healthy-path tests never flake on a slow
 /// machine; individual tests force misses with explicit zero budgets.
@@ -68,10 +55,26 @@ fn typed_outcomes_over_tcp() {
     assert_eq!(bad.outcome, Outcome::BadRequest, "{bad:?}");
     assert!(bad.error.is_some());
 
-    // The connection survives all three verdicts: outcomes are data, not
+    // A store-built service has no write path: a mutation answers
+    // `read_only`, typed like everything else.
+    let ro = client.insert(999_999, pairs(&docs[0]), Some(2_000_000)).expect("insert");
+    assert_eq!(ro.outcome, Outcome::ReadOnly, "{ro:?}");
+    assert!(!ro.durable && ro.error.is_some(), "{ro:?}");
+
+    // The connection survives every verdict: outcomes are data, not
     // transport failures.
     let again = client.query(&query(&docs[0], 4)).expect("query");
     assert_eq!(again.outcome, Outcome::Ok);
+
+    // A zero-capacity twin forces the admission path deterministically.
+    let choked = ServiceConfig { max_inflight: 0, ..config(2) };
+    let choked = Arc::new(Service::from_store(&store, choked).expect("choked service"));
+    let choked_server = Server::spawn(choked, "127.0.0.1:0").expect("choked server");
+    let mut choked_client = Client::connect(choked_server.addr()).expect("connect choked");
+    let over = choked_client.query(&query(&docs[2], 5)).expect("query");
+    assert_eq!(over.outcome, Outcome::Overloaded, "{over:?}");
+    assert!(over.retry_after_us > 0, "overload must carry a backoff hint: {over:?}");
+    assert!(over.results.is_empty());
 }
 
 #[test]

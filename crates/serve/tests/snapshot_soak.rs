@@ -33,52 +33,12 @@
 //! duration, so schedules cannot leak across concurrently scheduled
 //! tests.
 
-use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::path::Path;
 
-use wmh_core::{SketchStore, Sketcher};
-use wmh_data::PAPER_DATASETS;
-use wmh_fault::supervisor::RetryPolicy;
-use wmh_serve::{
-    snapshot, MutationKind, MutationRequest, Outcome, QueryRequest, Service, ServiceConfig,
-    ServiceError,
-};
-use wmh_sets::WeightedSet;
+use wmh_serve::{snapshot, MutationRequest, Outcome, Service, ServiceConfig, ServiceError};
 
-fn env_seed() -> Option<u64> {
-    let raw = std::env::var("WMH_FAULT_SEED").ok()?;
-    let raw = raw.trim();
-    let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => raw.parse(),
-    };
-    parsed.ok()
-}
-
-fn seed() -> u64 {
-    env_seed().unwrap_or(0xC1A05)
-}
-
-fn corpus(n: usize) -> Vec<WeightedSet> {
-    PAPER_DATASETS[2].scaled_down_preserving_overlap(n, 20_000).generate(7).expect("corpus").docs
-}
-
-fn store_for(docs: &[WeightedSet]) -> SketchStore {
-    let sketcher = wmh_core::cws::Icws::new(9, 128);
-    let mut store = SketchStore::new();
-    for (id, doc) in docs.iter().enumerate() {
-        store.insert(id as u64, &sketcher.sketch(doc).expect("sketch")).expect("insert");
-    }
-    store
-}
-
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        max_retries: 8,
-        base_backoff: Duration::from_micros(50),
-        max_backoff: Duration::from_millis(2),
-    }
-}
+mod common;
+use common::{corpus, fast_retry, probe, scratch, script, seed, store_for};
 
 fn config(shards: usize) -> ServiceConfig {
     ServiceConfig {
@@ -88,53 +48,6 @@ fn config(shards: usize) -> ServiceConfig {
         probe_every: 4,
         ..ServiceConfig::default()
     }
-}
-
-fn scratch(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "wmh-snapshot-soak-{label}-{}-{:x}",
-        std::process::id(),
-        seed()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
-fn query(doc: &WeightedSet, id: u64) -> QueryRequest {
-    QueryRequest { id, doc: doc.iter().collect(), k: 10, deadline_us: Some(5_000_000) }
-}
-
-/// Probe responses as rendered wire JSON — the byte-identity currency.
-fn probe(service: &Service, docs: &[WeightedSet]) -> Vec<String> {
-    docs.iter()
-        .enumerate()
-        .map(|(i, doc)| wmh_json::to_string(&service.query(&query(doc, i as u64))))
-        .collect()
-}
-
-/// The soak's mutation mix (same shape as the mutation soak's):
-/// deterministic given `n`, with deletes chasing earlier inserts.
-fn script(docs: &[WeightedSet], n: usize) -> Vec<MutationRequest> {
-    let base = 1_000_000u64;
-    (0..n)
-        .map(|i| {
-            let doc: Vec<(u64, f64)> = docs[i % docs.len()].iter().collect();
-            let (id, kind) = match i % 4 {
-                0 => (base + i as u64, MutationKind::Insert { doc }),
-                1 => (
-                    base + 500_000 + (i / 8) as u64,
-                    MutationKind::Stream { lambda: 0.5, items: doc },
-                ),
-                2 => (base + (i - 2) as u64, MutationKind::Delete),
-                _ => (
-                    base + 500_000 + (i / 8) as u64,
-                    MutationKind::Stream { lambda: 0.9, items: doc },
-                ),
-            };
-            MutationRequest { id, kind, deadline_us: Some(5_000_000) }
-        })
-        .collect()
 }
 
 /// Apply `requests` expecting every one to commit cleanly.

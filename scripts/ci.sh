@@ -90,8 +90,6 @@ register serve-soak "wmh-serve quarantine/recovery chaos soak"
 register mutation-soak "WAL kill-resume byte-identity at every commit failpoint"
 register snapshot-soak "durability-lifecycle kill-resume soak"
 register scrub-gate "flipped-bit detection/quarantine/heal, called out by name"
-register serve-smoke "loopback server answers every outcome class typed"
-register mutation-smoke "live-mutation soak over the wire with kill-resume"
 register schema-check "every checked-in results/*.json matches its schema"
 register bench-check "test and smoke-run the repository benchmark (its own workspace)"
 register perf-gate "wmh-perf quick suite vs results/BENCH_baseline.json (full mode only)"
@@ -227,28 +225,6 @@ step_snapshot_soak() {
 step_scrub_gate() {
   run cargo test "${RELEASE[@]}" -p wmh-serve --features wmh-fault/failpoints \
     --test snapshot_soak scrub_detects_flipped_bits_and_heals -q
-}
-
-# Serving smoke: a real loopback server must answer every outcome class
-# typed — healthy, forced deadline miss, forced overload, bad request, and
-# a mutation against a read-only service.
-step_serve_smoke() {
-  if [[ "$QUICK" == "1" ]]; then
-    run cargo run -q -p wmh-serve -- smoke --quick
-  else
-    run cargo run "${RELEASE[@]}" -q -p wmh-serve -- smoke
-  fi
-}
-
-# Live-mutation soak over the wire: the whole mutation surface against a
-# WAL-backed loopback server, then kill-resume and a live re-shard both
-# proven byte-identical end to end.
-step_mutation_smoke() {
-  if [[ "$QUICK" == "1" ]]; then
-    run cargo run -q -p wmh-serve -- mutation-soak --quick
-  else
-    run cargo run "${RELEASE[@]}" -q -p wmh-serve -- mutation-soak
-  fi
 }
 
 # Every checked-in results/*.json (and results/trajectory/*.json) must

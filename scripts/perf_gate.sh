@@ -34,9 +34,3 @@ cargo build --release -q -p wmh-perf
   --tolerance "${WMH_PERF_TOL:-0.25}" \
   --retries "${WMH_PERF_RETRIES:-2}"
 
-# The serving load report is part of the gated perf surface: it must exist,
-# parse, and satisfy the load generator's accounting invariants. Refresh it
-# after an intentional serving change with:
-#   cargo run --release -p wmh-serve -- load --out results/BENCH_serve_load.json
-cargo build --release -q -p wmh-serve
-./target/release/wmh-serve check-report results/BENCH_serve_load.json
