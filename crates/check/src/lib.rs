@@ -15,10 +15,30 @@
 //!   formats and checkpoint logs.
 //! * [`stress`] — barrier-synchronized concurrency hammering and a
 //!   single-thread witness for committer-style designs.
+//! * [`scratch`] — a fresh, uniquely named temp directory per call.
 
 pub mod adversarial;
 pub mod chaos;
 pub mod stress;
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A fresh, empty directory under the OS temp dir, named with `tag`, the
+/// process id and a per-process counter, so no two calls — in one test
+/// run or in two runs sharing a host — ever get the same directory.
+///
+/// # Panics
+/// Panics if the directory cannot be created.
+#[must_use]
+pub fn scratch(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("wmh-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
 
 /// Deterministic value generator for property tests.
 ///
@@ -180,6 +200,18 @@ macro_rules! ensure {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scratch_dirs_are_distinct_and_live_under_tmp() {
+        let (a, b) = (scratch("sanity"), scratch("sanity"));
+        assert_ne!(a, b, "two calls must never share a directory");
+        for dir in [a, b] {
+            assert!(dir.starts_with(std::env::temp_dir()), "{}", dir.display());
+            assert!(dir.is_dir());
+            assert_eq!(std::fs::read_dir(&dir).expect("ls").count(), 0, "must start empty");
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
 
     #[test]
     fn gen_is_deterministic() {

@@ -13,7 +13,8 @@ use std::thread::ThreadId;
 
 /// Run `f(thread_index, iteration)` on `threads` threads, `iters` times
 /// each, with a barrier release before the first iteration so all threads
-/// enter the hot section together.
+/// enter the hot section together. Every thread runs under the caller's
+/// `wmh_fault` scenario, so failpoints in `f` see the caller's faults.
 ///
 /// Panics in any closure propagate to the caller (the panicking thread's
 /// payload is re-raised after all threads join).
@@ -30,11 +31,14 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let (barrier, f) = (&barrier, &f);
+                let carry = wmh_fault::Carry::capture();
                 s.spawn(move || {
-                    barrier.wait();
-                    for i in 0..iters {
-                        f(t, i);
-                    }
+                    carry.run(|| {
+                        barrier.wait();
+                        for i in 0..iters {
+                            f(t, i);
+                        }
+                    });
                 })
             })
             .collect();

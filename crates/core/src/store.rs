@@ -802,8 +802,7 @@ mod tests {
 
     #[test]
     fn save_and_load_roundtrip_atomically() {
-        let dir = std::env::temp_dir().join("wmh_store_test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = wmh_check::scratch("store");
         let path = dir.join("corpus.wmhs");
         let store = filled_store();
         store.save_to_path(&path).expect("save");

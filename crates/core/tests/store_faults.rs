@@ -7,19 +7,11 @@
 //! lying-fsync model) and verify the salvage + `RecoveryReport` path
 //! recovers the prefix.
 
-use std::path::PathBuf;
-
+use wmh_check::scratch;
 use wmh_core::cws::Icws;
 use wmh_core::sketch::Sketcher as _;
 use wmh_core::store::{SketchStore, StoreError};
 use wmh_sets::WeightedSet;
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wmh_store_faults_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir scratch");
-    dir
-}
 
 fn filled_store(n: u64) -> SketchStore {
     let icws = Icws::new(7, 16);
@@ -44,7 +36,7 @@ fn injected_failures_keep_saves_atomic() {
     let new = filled_store(5);
 
     for point in ["store::write", "store::fsync", "store::rename"] {
-        let _g = wmh_fault::scenario(&format!("{point}=always"), 1).expect("scenario");
+        let g = wmh_fault::scenario(&format!("{point}=always"), 1).expect("scenario");
         let err = new.save_to_path(&path).expect_err("injected fault must surface");
         match err {
             StoreError::Io(msg) => {
@@ -52,8 +44,8 @@ fn injected_failures_keep_saves_atomic() {
             }
             other => panic!("{point}: expected Io, got {other:?}"),
         }
-        assert_eq!(wmh_fault::fired(point), 1, "{point} should have fired once");
-        drop(_g);
+        assert_eq!(g.fired(point), 1, "{point} should have fired once");
+        drop(g);
         assert!(!dir.join("corpus.wmhs.tmp").exists(), "{point}: temp file must be cleaned up");
         let on_disk = SketchStore::load_from_path(&path).expect("old file intact");
         assert_eq!(on_disk, old, "{point}: failed save must not touch the destination");
@@ -69,11 +61,11 @@ fn fail_once_then_retry_recovers() {
     let path = dir.join("corpus.wmhs");
     let store = filled_store(4);
     {
-        let _g = wmh_fault::scenario("store::write=once", 3).expect("scenario");
+        let g = wmh_fault::scenario("store::write=once", 3).expect("scenario");
         assert!(matches!(store.save_to_path(&path), Err(StoreError::Io(_))));
         store.save_to_path(&path).expect("retry after transient fault");
-        assert_eq!(wmh_fault::hits("store::write"), 2);
-        assert_eq!(wmh_fault::fired("store::write"), 1);
+        assert_eq!(g.hits("store::write"), 2);
+        assert_eq!(g.fired("store::write"), 1);
     }
     assert_eq!(SketchStore::load_from_path(&path).expect("load"), store);
     let _ = std::fs::remove_dir_all(&dir);
@@ -107,15 +99,26 @@ fn short_write_is_salvageable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// With no scenario active, failpoints are invisible: saves succeed and
-/// no counters move.
+/// With no scenario entered, failpoints are invisible: saves succeed and
+/// no counters move — not even those of a scenario another thread holds
+/// armed meanwhile.
 #[test]
 fn inert_points_do_not_perturb_saves() {
+    let (armed_tx, armed_rx) = std::sync::mpsc::channel();
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let holder = std::thread::spawn(move || {
+        let g = wmh_fault::scenario("store::write=always", 1).expect("scenario");
+        armed_tx.send(wmh_fault::Scenario::clone(&g)).expect("hand over");
+        let _ = done_rx.recv(); // stay entered until the save is checked
+    });
+    let elsewhere = armed_rx.recv().expect("armed");
     let dir = scratch("inert");
     let path = dir.join("corpus.wmhs");
     let store = filled_store(3);
     store.save_to_path(&path).expect("save with inert points");
     assert_eq!(SketchStore::load_from_path(&path).expect("load"), store);
-    assert_eq!(wmh_fault::hits("store::write"), 0);
+    assert_eq!(elsewhere.hits("store::write"), 0);
+    drop(done_tx);
+    holder.join().expect("holder thread");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -257,12 +257,14 @@ mod tests {
     #[test]
     fn file_roundtrip_is_bit_exact() {
         let ds = small().generate(11).unwrap();
-        let path = std::env::temp_dir().join("wmh_dataset_roundtrip.json");
+        let dir = wmh_check::scratch("dataset");
+        let path = dir.join("roundtrip.json");
         ds.save_json(&path).unwrap();
         let back = Dataset::load_json(&path).unwrap();
         assert_eq!(ds.docs, back.docs);
         assert_eq!(ds.config, back.config);
         assert!(Dataset::load_json(std::path::Path::new("/missing/nope.json")).is_err());
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

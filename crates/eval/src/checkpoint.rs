@@ -414,12 +414,6 @@ mod tests {
     use crate::runner::{run_mse, run_mse_with, run_runtime_with, RunOptions};
     use wmh_core::Algorithm;
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("wmh_ckpt_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        dir.join(name)
-    }
-
     fn small_scale() -> Scale {
         let mut s = Scale::tiny();
         s.datasets.truncate(1);
@@ -469,8 +463,7 @@ mod tests {
 
     #[test]
     fn fresh_checkpoint_starts_with_a_matching_meta_line() {
-        let path = temp_path("fresh.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let path = wmh_check::scratch("ckpt").join("fresh.jsonl");
         let scale = small_scale();
         let algos = vec!["ICWS".to_owned()];
         let c = Checkpoint::open(&path, "mse", &scale, &algos).expect("open");
@@ -485,8 +478,7 @@ mod tests {
 
     #[test]
     fn mismatched_meta_resets_the_file() {
-        let path = temp_path("stale.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let path = wmh_check::scratch("ckpt").join("stale.jsonl");
         let scale = small_scale();
         let algos = vec!["ICWS".to_owned()];
         let mut c = Checkpoint::open(&path, "mse", &scale, &algos).expect("open");
@@ -506,8 +498,7 @@ mod tests {
         let scale = small_scale();
         let algos = [Algorithm::MinHash, Algorithm::Icws];
         let plain = run_mse(&scale, &algos).expect("plain");
-        let path = temp_path("mse_match.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let path = wmh_check::scratch("ckpt").join("mse_match.jsonl");
         let opts = RunOptions::checkpointed(&path);
         let ckpted = run_mse_with(&scale, &algos, &opts).expect("checkpointed");
         assert_eq!(wmh_json::to_string(&plain), wmh_json::to_string(&ckpted));
@@ -524,8 +515,7 @@ mod tests {
         // only the missing units and reproduce the exact same report.
         let scale = small_scale();
         let algos = [Algorithm::MinHash, Algorithm::Icws];
-        let path = temp_path("mse_torn.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let path = wmh_check::scratch("ckpt").join("mse_torn.jsonl");
         let opts = RunOptions::checkpointed(&path);
         let full = run_mse_with(&scale, &algos, &opts).expect("full run");
 
@@ -552,8 +542,7 @@ mod tests {
         let mut scale = small_scale();
         scale.quantization_constant = -1.0; // Haveliwala fails at build
         let algos = [Algorithm::Haveliwala2000, Algorithm::Icws];
-        let path = temp_path("mse_failed.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let path = wmh_check::scratch("ckpt").join("mse_failed.jsonl");
         let opts = RunOptions::checkpointed(&path);
         let first = run_mse_with(&scale, &algos, &opts).expect("first");
         let text = std::fs::read_to_string(&path).expect("read");
@@ -569,8 +558,7 @@ mod tests {
         let mut scale = small_scale();
         scale.d_values = vec![10];
         let algos = [Algorithm::MinHash, Algorithm::Icws];
-        let path = temp_path("runtime.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let path = wmh_check::scratch("ckpt").join("runtime.jsonl");
         let opts = RunOptions::checkpointed(&path);
         let first = run_runtime_with(&scale, &algos, &opts).expect("first");
         let second = run_runtime_with(&scale, &algos, &opts).expect("second");

@@ -102,8 +102,16 @@ mod tests {
     fn closed_form_family_scales_linearly_in_n() {
         // O(·nD): doubling n should ≈ double time; allow generous noise —
         // the growth factor (time-ratio / n-ratio) should sit near 1.
+        // Best-of-3 per point: one preemption inside the sub-millisecond
+        // n = 100 batch would otherwise swing the ratio under parallel load.
         let algos = [Algorithm::Icws, Algorithm::Pcws, Algorithm::Chum2008];
-        let points = scaling_study(&algos, &[100, 800], 32, 8, 1);
+        let runs: Vec<_> = (0..3).map(|_| scaling_study(&algos, &[100, 800], 32, 8, 1)).collect();
+        let points: Vec<ScalingPoint> = (0..runs[0].len())
+            .map(|i| ScalingPoint {
+                seconds: runs.iter().map(|run| run[i].seconds).fold(f64::INFINITY, f64::min),
+                ..runs[0][i].clone()
+            })
+            .collect();
         for algo in algos {
             let g = growth_factor(&points, algo.name());
             assert!((0.5..2.0).contains(&g), "{}: growth factor {g} not ~linear", algo.name());

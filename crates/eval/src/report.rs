@@ -225,7 +225,7 @@ mod tests {
 
     #[test]
     fn save_json_roundtrip() {
-        let dir = std::env::temp_dir().join("wmh_eval_test");
+        let dir = wmh_check::scratch("report");
         let path = save_json(&dir, "probe", &vec![1, 2, 3]).unwrap();
         let text = std::fs::read_to_string(path).unwrap();
         let back: Vec<i32> = wmh_json::from_str(&text).unwrap();

@@ -19,6 +19,11 @@
 //! * **Fault tolerance** — a resumed run loads completed repeats before
 //!   scheduling and only executes the missing cells.
 //!
+//! Cells and the committer run under the caller's `wmh_fault` scenario
+//! (pool tasks carry it; the committer is started with a
+//! [`wmh_fault::Carry`]), so a scenario armed around a sweep reaches every
+//! failpoint the sweep hits.
+//!
 //! Wall-clock deadlines remain per-`(dataset, algorithm)` group and start
 //! on the group's first scheduled cell; like the sequential engine, runs
 //! that hit a wall-clock deadline are not reproducible (time is not a
@@ -207,8 +212,10 @@ impl ParallelSweep {
         let retry = options.retry;
         let committer_out: Result<(Vec<GroupState>, Option<RunnerError>), _> =
             std::thread::scope(|outer| {
-                let committer = outer
-                    .spawn(move || commit_loop(rx, ckpt, groups, group_names, retry, scale.seed));
+                let carry = wmh_fault::Carry::capture();
+                let committer = outer.spawn(move || {
+                    carry.run(|| commit_loop(rx, ckpt, groups, group_names, retry, scale.seed))
+                });
                 self.pool.scope(|s| {
                     for &(ds, al, rep) in &cells {
                         let tx = tx.clone();

@@ -9,11 +9,12 @@
 //! immediately after it fired, so a single retry always clears it and no
 //! schedule can push a cell into quarantine.
 //!
-//! Every sweep here holds a [`wmh_fault::scenario`] guard (the fault-free
-//! baseline uses a never-firing probe) so scenarios cannot leak across
-//! concurrently scheduled tests.
+//! Every chaos sweep runs under its own [`wmh_fault::scenario`]; the
+//! sweep's pool tasks and committer carry it, so scenarios cannot leak
+//! across concurrently scheduled tests.
 
 use std::time::Duration;
+use wmh_check::scratch;
 use wmh_core::Algorithm;
 use wmh_eval::{runner, Measurement, RetryPolicy, RunOptions, Scale};
 
@@ -22,12 +23,6 @@ use wmh_eval::{runner, Measurement, RetryPolicy, RunOptions, Scale};
 /// delayed. Everything recovers on one retry.
 const TRANSIENT_CHAOS: &str = "sweep::cell=1in3;checkpoint::write=1in4;\
                                checkpoint::torn_write=1in5;par::worker_delay=p0.2:sleep300us";
-
-fn temp_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("wmh_chaos_soak_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir.join(name)
-}
 
 fn soak_scale() -> Scale {
     Scale::tiny()
@@ -51,9 +46,8 @@ fn transient_chaos_is_byte_identical_to_a_fault_free_run() {
     let scale = soak_scale();
     let algos = [Algorithm::MinHash, Algorithm::Icws, Algorithm::Chum2008];
 
-    // Fault-free baseline, single-threaded, under a probe-only scenario.
+    // Fault-free baseline, single-threaded, under no scenario at all.
     let baseline = {
-        let _g = wmh_fault::scenario("sweep::retry=never", 0).expect("probe");
         let opts = RunOptions::default().with_threads(1).with_retry(fast_retry());
         wmh_json::to_string(&runner::run_mse_with(&scale, &algos, &opts).expect("baseline"))
     };
@@ -65,13 +59,13 @@ fn transient_chaos_is_byte_identical_to_a_fault_free_run() {
         seeds.push(pinned);
     }
 
+    let dir = scratch("chaos-soak");
     let mut any_faults_fired = false;
     let mut any_retries = false;
     for seed in seeds {
         for threads in [1usize, 8] {
-            let path = temp_path(&format!("soak_{seed:x}_{threads}.jsonl"));
-            let _ = std::fs::remove_file(&path);
-            let _g = wmh_fault::scenario(TRANSIENT_CHAOS, seed).expect("scenario");
+            let path = dir.join(format!("soak_{seed:x}_{threads}.jsonl"));
+            let g = wmh_fault::scenario(TRANSIENT_CHAOS, seed).expect("scenario");
             let opts =
                 RunOptions::checkpointed(&path).with_threads(threads).with_retry(fast_retry());
             let cells =
@@ -81,10 +75,10 @@ fn transient_chaos_is_byte_identical_to_a_fault_free_run() {
                 baseline,
                 "seed {seed:#x}, {threads} threads: transient chaos changed the results"
             );
-            any_faults_fired |= wmh_fault::fired("sweep::cell") > 0
-                || wmh_fault::fired("checkpoint::write") > 0
-                || wmh_fault::fired("checkpoint::torn_write") > 0;
-            any_retries |= wmh_fault::hits("sweep::retry") > 0;
+            any_faults_fired |= g.fired("sweep::cell") > 0
+                || g.fired("checkpoint::write") > 0
+                || g.fired("checkpoint::torn_write") > 0;
+            any_retries |= g.hits("sweep::retry") > 0;
             // Nothing may be left quarantined or timed out: the grid holds
             // measured values only.
             assert!(
@@ -103,16 +97,15 @@ fn transient_chaos_is_byte_identical_to_a_fault_free_run() {
 fn chaos_checkpoints_resume_cleanly() {
     let scale = soak_scale();
     let algos = [Algorithm::MinHash, Algorithm::Icws];
-    let path = temp_path("resume.jsonl");
-    let _ = std::fs::remove_file(&path);
+    let path = scratch("chaos-soak").join("resume.jsonl");
     let opts = RunOptions::checkpointed(&path).with_threads(2).with_retry(fast_retry());
     let under_chaos = {
         let _g = wmh_fault::scenario(TRANSIENT_CHAOS, 0x99).expect("scenario");
         wmh_json::to_string(&runner::run_mse_with(&scale, &algos, &opts).expect("chaos run"))
     };
-    let _g = wmh_fault::scenario("sweep::retry=never", 0).expect("probe");
+    let probe = wmh_fault::scenario("sweep::retry=never", 0).expect("probe");
     let resumed =
         wmh_json::to_string(&runner::run_mse_with(&scale, &algos, &opts).expect("resume"));
     assert_eq!(under_chaos, resumed);
-    assert_eq!(wmh_fault::hits("sweep::cell"), 0, "a full checkpoint must schedule no cells");
+    assert_eq!(probe.hits("sweep::cell"), 0, "a full checkpoint must schedule no cells");
 }

@@ -4,14 +4,9 @@
 //! interleaves partial checkpoint lines under concurrent cell completion,
 //! and the Figure 9 timing path ignores the thread flag entirely.
 
+use wmh_check::scratch;
 use wmh_core::Algorithm;
 use wmh_eval::{runner, RunOptions, Scale};
-
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("wmh_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
 
 /// A mini-sweep broad enough to exercise batch overrides (MinHash,
 /// Gollapudi-Threshold), quantization, the CWS family, and the
@@ -50,7 +45,7 @@ fn one_two_and_eight_threads_produce_identical_bytes() {
 fn committer_writes_only_whole_checkpoint_lines() {
     let scale = Scale::tiny();
     let algorithms = mini_algorithms();
-    let dir = scratch_dir("determinism_ckpt");
+    let dir = scratch("determinism_ckpt");
     let ck = dir.join("fig8.jsonl");
     runner::run_mse_with(&scale, &algorithms, &RunOptions::checkpointed(&ck).with_threads(8))
         .expect("sweep");
@@ -89,7 +84,7 @@ fn runtime_path_ignores_the_thread_flag() {
     scale.d_values = vec![10];
     scale.datasets.truncate(1);
     let algorithms = [Algorithm::MinHash, Algorithm::Icws];
-    let dir = scratch_dir("runtime_flag");
+    let dir = scratch("runtime_flag");
     let ck = dir.join("fig9.jsonl");
 
     let fresh = runner::run_runtime_with(

@@ -9,15 +9,10 @@
 //! re-derives from the master seed.
 
 use wmh_check::chaos::ChaosBuf;
+use wmh_check::scratch;
 use wmh_check::Gen;
 use wmh_core::Algorithm;
 use wmh_eval::{runner, RunOptions, Scale};
-
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("wmh_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
 
 #[test]
 fn chaos_corrupted_checkpoint_tail_resumes_to_identical_json() {
@@ -29,7 +24,7 @@ fn chaos_corrupted_checkpoint_tail_resumes_to_identical_json() {
         Algorithm::GollapudiThreshold,
         Algorithm::Chum2008,
     ];
-    let dir = scratch_dir("resume_chaos");
+    let dir = scratch("resume_chaos");
     let ck = dir.join("fig8.jsonl");
 
     // Reference: a checkpoint-free run.
@@ -72,7 +67,7 @@ fn chaos_corrupted_checkpoint_tail_resumes_to_identical_json() {
 #[test]
 fn stale_checkpoint_from_other_parameters_is_ignored() {
     // Resuming with a different scale must reset, not poison, the run.
-    let dir = scratch_dir("resume_stale");
+    let dir = scratch("resume_stale");
     let ck = dir.join("fig8.jsonl");
     let algorithms = [Algorithm::MinHash, Algorithm::Icws];
 

@@ -3,20 +3,16 @@
 //! resume byte-identically, failed checkpoint appends rewind cleanly, and
 //! the backoff jitter is thread-count-independent.
 //!
-//! Every test that runs a sweep holds a [`wmh_fault::scenario`] guard —
-//! including "fault-free" phases, which use a never-firing probe — so
+//! Every test that runs a sweep enters its own [`wmh_fault::scenario`] —
+//! including "fault-free" phases, which use a never-firing probe whose
+//! counters the assertions read — and the sweep's threads carry it, so
 //! scenarios never leak between concurrently scheduled tests.
 
 use std::time::Duration;
+use wmh_check::scratch;
 use wmh_core::Algorithm;
 use wmh_eval::checkpoint::{Checkpoint, Entry};
 use wmh_eval::{runner, Measurement, MseCell, RetryPolicy, RunOptions, RuntimeCell, Scale};
-
-fn temp_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("wmh_supervision_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir.join(name)
-}
 
 fn small_scale() -> Scale {
     let mut s = Scale::tiny();
@@ -41,27 +37,22 @@ fn timed_out_cells_are_terminal_and_never_retried() {
     let mut scale = small_scale();
     scale.budget.cell_wall_clock = Some(Duration::from_secs(0));
     let algos = [Algorithm::MinHash, Algorithm::Icws];
-    let path = temp_path("terminal_timeout.jsonl");
-    let _ = std::fs::remove_file(&path);
+    let path = scratch("supervision").join("terminal_timeout.jsonl");
     let opts = RunOptions::checkpointed(&path).with_retry(fast_retry());
 
     let first: Vec<MseCell> = {
         // An armed transient fault that MUST lose to the deadline check.
-        let _g = wmh_fault::scenario("sweep::cell=always", 1).expect("scenario");
+        let g = wmh_fault::scenario("sweep::cell=always", 1).expect("scenario");
         let cells = runner::run_mse_with(&scale, &algos, &opts).expect("sweep");
-        assert_eq!(
-            wmh_fault::hits("sweep::retry"),
-            0,
-            "a timed-out cell must never enter the retry path"
-        );
-        assert_eq!(wmh_fault::fired("sweep::cell"), 0, "deadline must precede the fault hook");
+        assert_eq!(g.hits("sweep::retry"), 0, "a timed-out cell must never enter the retry path");
+        assert_eq!(g.fired("sweep::cell"), 0, "deadline must precede the fault hook");
         cells
     };
     assert_eq!(first.len(), scale.datasets.len() * algos.len() * scale.d_values.len());
     assert!(first.iter().all(|c| c.mse == Measurement::TimedOut), "{first:?}");
 
     // Resume without any scenario: the dashes come from the checkpoint.
-    let _g = wmh_fault::scenario("sweep::retry=never", 1).expect("probe");
+    let probe = wmh_fault::scenario("sweep::retry=never", 1).expect("probe");
     let resumed = runner::run_mse_with(&scale, &algos, &opts).expect("resumed");
     assert_eq!(wmh_json::to_string(&first), wmh_json::to_string(&resumed));
 
@@ -72,7 +63,7 @@ fn timed_out_cells_are_terminal_and_never_retried() {
             .expect("runtime");
     assert_eq!(rcells.len(), scale.datasets.len() * algos.len() * scale.d_values.len());
     assert!(rcells.iter().all(|c| c.seconds == Measurement::TimedOut), "{rcells:?}");
-    assert_eq!(wmh_fault::hits("sweep::retry"), 0);
+    assert_eq!(probe.hits("sweep::retry"), 0);
 }
 
 /// A persistent transient fault exhausts the retry budget, quarantines the
@@ -83,15 +74,14 @@ fn quarantined_cells_are_checkpointed_and_resumed() {
     let mut scale = small_scale();
     scale.repeats = 1;
     let algos = [Algorithm::MinHash, Algorithm::Icws];
-    let path = temp_path("quarantine.jsonl");
-    let _ = std::fs::remove_file(&path);
+    let path = scratch("supervision").join("quarantine.jsonl");
     let opts = RunOptions::checkpointed(&path).with_retry(fast_retry());
 
     let first = {
-        let _g = wmh_fault::scenario("sweep::cell@MinHash=always", 11).expect("scenario");
+        let g = wmh_fault::scenario("sweep::cell@MinHash=always", 11).expect("scenario");
         let cells = runner::run_mse_with(&scale, &algos, &opts).expect("sweep survives");
         // max_retries = 2 → 3 attempts → 2 backoff sleeps for the one cell.
-        assert_eq!(wmh_fault::hits("sweep::retry"), 2);
+        assert_eq!(g.hits("sweep::retry"), 2);
         cells
     };
     for c in &first {
@@ -105,10 +95,10 @@ fn quarantined_cells_are_checkpointed_and_resumed() {
     assert!(text.contains(r#""kind":"mse_quarantined""#), "not recorded: {text}");
     assert!(text.contains(r#""attempts":3"#), "attempt count not recorded: {text}");
 
-    let _g = wmh_fault::scenario("sweep::retry=never", 11).expect("probe");
+    let probe = wmh_fault::scenario("sweep::retry=never", 11).expect("probe");
     let resumed = runner::run_mse_with(&scale, &algos, &opts).expect("resumed");
     assert_eq!(wmh_json::to_string(&first), wmh_json::to_string(&resumed));
-    assert_eq!(wmh_fault::hits("sweep::cell"), 0, "quarantined work must not re-run on resume");
+    assert_eq!(probe.hits("sweep::cell"), 0, "quarantined work must not re-run on resume");
 }
 
 /// The runtime engine quarantines the same way: persistent transient
@@ -136,8 +126,7 @@ fn runtime_cells_quarantine_under_persistent_faults() {
 /// and for a torn write that got half the record onto disk.
 #[test]
 fn failed_append_rewinds_so_a_retry_leaves_no_torn_line() {
-    let path = temp_path("append_rewind.jsonl");
-    let _ = std::fs::remove_file(&path);
+    let path = scratch("supervision").join("append_rewind.jsonl");
     let scale = small_scale();
     let algos = vec!["ICWS".to_owned()];
     let mut c = Checkpoint::open(&path, "mse", &scale, &algos).expect("open");

@@ -21,9 +21,12 @@
 //!    feature, [`hit`] is an inlined `Ok(())` — no atomics, no branches —
 //!    so release binaries carry no trace of the instrumentation. Test
 //!    builds enable the feature through dev-dependency unification.
-//! 3. **Dependency-free and panic-free.** The registry is a `std`-only
-//!    mutex-protected map; poisoned locks are recovered, and every parse
-//!    failure is a typed [`ScenarioError`].
+//! 3. **Hermetic.** A scenario is a value, not process state: a point
+//!    consults only the scenario entered on its own thread, so two tests
+//!    injecting faults at the same point never see each other's.
+//! 4. **Dependency-free and panic-free.** Each scenario's registry is a
+//!    `std`-only mutex-protected map; poisoned locks are recovered, and
+//!    every parse failure is a typed [`ScenarioError`].
 //!
 //! ## Scenario grammar
 //!
@@ -37,7 +40,7 @@
 //! * `once` — fire on the first hit only (fail-once).
 //! * `always` — fire on every hit.
 //! * `never` — never fire, but still count hits (an observability probe;
-//!   see [`hits`]).
+//!   see [`Scenario::hits`]).
 //! * `1inN` — fire on every Nth hit of the point (hits N, 2N, …).
 //! * `pF` — fire each hit with probability `F`, drawn from the point's
 //!   seeded SplitMix64 stream.
@@ -56,36 +59,46 @@
 //! }
 //! // Inert by default:
 //! assert!(save().is_ok());
-//! // Activated under a scoped scenario (tests):
+//! // Activated under a scenario entered on this thread (tests):
 //! # #[cfg(feature = "failpoints")]
 //! # {
-//! let _guard = wmh_fault::scenario("demo::save=always", 7).unwrap();
+//! let guard = wmh_fault::scenario("demo::save=always", 7).unwrap();
 //! assert!(save().is_err());
+//! assert_eq!(guard.fired("demo::save"), 1);
 //! # }
 //! ```
 //!
-//! [`scenario`] serializes scenario-holding tests through a global lock so
-//! parallel test threads never observe each other's faults; binaries call
-//! [`init_from_env`] once at startup instead.
+//! ## Scenarios and threads
+//!
+//! [`scenario`] returns a [`Scenario`] — its specs and counters behind an
+//! `Arc` — entered on the calling thread until the returned
+//! [`ScenarioGuard`] drops.
+//! Points consult the thread's entered scenario through a thread-local;
+//! with none entered they return `Ok(())` and count nothing. Threads do
+//! not inherit a scenario by themselves: code that hands work to another
+//! thread captures a [`Carry`] where the work is submitted and runs the
+//! work through it where it executes (`wmh-par` tasks, `wmh-serve` shard
+//! jobs and service threads, `wmh_check::stress::hammer`), so the work's
+//! points see its submitter's scenario. Tests therefore need no lock and
+//! no `--test-threads=1`. Binaries call [`init_from_env`] once on the
+//! main thread instead.
 
 mod registry;
 mod scenario;
 pub mod supervisor;
 
-pub use registry::{fired, hits, Fault};
-pub use scenario::{
-    clear, configure, env_seed, init_from_env, scenario, Activation, ScenarioError, ScenarioGuard,
-};
+pub use registry::{Carry, Fault, Scenario, ScenarioGuard};
+pub use scenario::{env_seed, init_from_env, scenario, Activation, ScenarioError};
 
 /// Hit the named failpoint; `tag` scopes the hit for `@tag` filters.
 ///
-/// Returns `Ok(())` when the point is inert (no scenario, no matching
-/// spec, schedule did not trigger) or after an injected sleep completes;
+/// Returns `Ok(())` when the point is inert (no scenario entered on this
+/// thread, no matching spec, schedule did not trigger) or after an injected sleep completes;
 /// returns `Err(`[`Fault`]`)` when an injected failure fires. Call sites
 /// that only ever want delay injection may ignore the result.
 ///
 /// # Errors
-/// [`Fault`] when an active scenario fires a `fail` action here.
+/// [`Fault`] when the thread's scenario fires a `fail` action here.
 #[inline]
 pub fn hit(name: &'static str, tag: Option<&str>) -> Result<(), Fault> {
     #[cfg(feature = "failpoints")]

@@ -1,16 +1,13 @@
-//! Scenario strings: parsing, activation, and scoped test guards.
+//! Scenario strings: parsing, and the two ways a scenario gets entered —
+//! [`scenario`] for tests (scoped to a guard) and [`init_from_env`] for
+//! binaries (for the rest of the main thread's life).
 //!
 //! A scenario is `;`-separated clauses of the form
-//! `point['@'tag]'='trigger[':'action]` (grammar in the crate docs). This
-//! module turns that string into registry specs, exposes process-global
-//! [`configure`]/[`clear`] for binaries, and a lock-holding
-//! [`scenario`] guard for tests so parallel test threads never observe
-//! each other's injected faults.
+//! `point['@'tag]'='trigger[':'action]` (grammar in the crate docs).
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use crate::registry::{self, Action, Spec, Trigger};
+use crate::registry::{Action, Scenario, ScenarioGuard, Spec, Trigger};
 
 /// A scenario string that could not be parsed or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,9 +74,9 @@ impl std::error::Error for ScenarioError {}
 pub enum Activation {
     /// `WMH_FAULTS` unset or empty: nothing to inject.
     Inactive,
-    /// A scenario was installed.
+    /// A scenario was entered on the calling thread.
     Active {
-        /// Number of fault specs installed.
+        /// Number of fault specs in it.
         specs: usize,
         /// The seed driving probabilistic schedules.
         seed: u64,
@@ -166,61 +163,18 @@ fn parse(scenario: &str) -> Result<Vec<(String, Spec)>, ScenarioError> {
     scenario.split(';').map(str::trim).filter(|clause| !clause.is_empty()).map(parse_spec).collect()
 }
 
-/// Parse `scenario` and install it process-globally under `seed`,
-/// replacing any active scenario and resetting all counters.
+/// Parse `spec` and enter it under `seed` on the calling thread for the
+/// lifetime of the returned guard, every counter starting at zero.
 ///
-/// Binaries call this (usually via [`init_from_env`]); tests should
-/// prefer the scoped [`scenario`] guard.
-///
-/// # Errors
-/// [`ScenarioError`] if the string does not match the grammar; the
-/// previously active scenario (if any) is left untouched.
-pub fn configure(scenario: &str, seed: u64) -> Result<usize, ScenarioError> {
-    let specs = parse(scenario)?;
-    let count = specs.len();
-    registry::install(specs, seed);
-    Ok(count)
-}
-
-/// Deactivate any active scenario and drop all hit counters.
-pub fn clear() {
-    registry::uninstall();
-}
-
-/// Serializes scenario-holding tests: the registry is process-global, so
-/// two tests injecting faults concurrently would see each other's.
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-/// A scoped scenario: holds the global scenario lock, and clears the
-/// registry when dropped.
-///
-/// Returned by [`scenario`]; keep it alive for the duration of the test.
-#[must_use = "the scenario deactivates when the guard drops"]
-pub struct ScenarioGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for ScenarioGuard {
-    fn drop(&mut self) {
-        clear();
-        // `_lock` releases afterwards, handing the registry — now clean —
-        // to the next scenario-holding test.
-    }
-}
-
-/// Install `spec` under `seed` for the lifetime of the returned guard.
-///
-/// Scenario-holding tests serialize on a global lock (parallel test
-/// threads would otherwise observe each other's faults), so keep
-/// scenario-holding sections short. A test that panics while holding the
-/// guard poisons nothing: the lock is recovered and the registry cleared.
+/// The scenario is a value, not process state: other threads — other
+/// tests included — never see it unless work carries it there (a
+/// [`crate::Carry`]), so scenario-holding tests run in parallel. Read its
+/// counters through the guard (`guard.hits(..)`, `guard.fired(..)`).
 ///
 /// # Errors
 /// [`ScenarioError`] if `spec` does not match the grammar.
 pub fn scenario(spec: &str, seed: u64) -> Result<ScenarioGuard, ScenarioError> {
-    let lock = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    configure(spec, seed)?;
-    Ok(ScenarioGuard { _lock: lock })
+    Ok(Scenario::new(parse(spec)?, seed).enter())
 }
 
 /// A `WMH_FAULT_SEED` value: decimal or `0x`-hex; unset or blank is `None`.
@@ -236,7 +190,7 @@ fn parse_seed(text: Option<&str>) -> Result<Option<u64>, ScenarioError> {
 }
 
 /// The seed pinned by `WMH_FAULT_SEED` (decimal or `0x`-hex), if any —
-/// the one [`init_from_env`] installs, exposed so fault-injecting tests
+/// the one [`init_from_env`] uses, exposed so fault-injecting tests
 /// can honour the same pin.
 ///
 /// # Errors
@@ -246,7 +200,7 @@ pub fn env_seed() -> Result<Option<u64>, ScenarioError> {
 }
 
 /// The scenario / seed pair as read from the environment. A bad seed is
-/// reported only when a scenario would actually be installed.
+/// reported only when a scenario would actually be entered.
 fn activate(
     faults: Option<&str>,
     seed: Result<Option<u64>, ScenarioError>,
@@ -258,18 +212,23 @@ fn activate(
         return Ok(Activation::CompiledOut);
     }
     let seed = seed?.unwrap_or(0);
-    let specs = configure(faults, seed)?;
-    Ok(Activation::Active { specs, seed })
+    let specs = parse(faults)?;
+    let count = specs.len();
+    // Entered for the rest of the thread's life: the guard never drops.
+    std::mem::forget(Scenario::new(specs, seed).enter());
+    Ok(Activation::Active { specs: count, seed })
 }
 
-/// Read `WMH_FAULTS` / `WMH_FAULT_SEED` and install the scenario they
-/// describe, if any. Call once at binary startup.
+/// Read `WMH_FAULTS` / `WMH_FAULT_SEED` and enter the scenario they
+/// describe, if any, on the calling thread for the rest of its life. Call
+/// once at binary startup, on the main thread: threads and pool tasks the
+/// binary starts inherit it through [`crate::Carry`].
 ///
 /// * `WMH_FAULTS` unset or blank → [`Activation::Inactive`].
 /// * Set, but the binary lacks the `failpoints` feature →
 ///   [`Activation::CompiledOut`] (the caller should tell the operator the
 ///   scenario is dead weight).
-/// * Otherwise the scenario is installed with the seed from
+/// * Otherwise the scenario is entered with the seed from
 ///   `WMH_FAULT_SEED` (decimal or `0x`-hex, default 0).
 ///
 /// # Errors
@@ -358,16 +317,16 @@ mod tests {
     #[cfg(feature = "failpoints")]
     #[test]
     fn env_activation_parses_seeds_and_installs() {
-        let _lock = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let active =
             activate(Some("env::point=always"), parse_seed(Some("0xDEADBEEF"))).expect("activate");
         assert_eq!(active, Activation::Active { specs: 1, seed: 0xDEAD_BEEF });
         assert!(crate::hit("env::point", None).is_err());
-        clear();
+        // Entered on this thread only: a fresh thread sees no scenario.
+        let elsewhere = std::thread::spawn(|| crate::hit("env::point", None).is_ok());
+        assert!(elsewhere.join().expect("thread"));
         let active = activate(Some("env::point=never"), parse_seed(Some("42"))).expect("activate");
         assert_eq!(active, Activation::Active { specs: 1, seed: 42 });
         assert!(crate::hit("env::point", None).is_ok());
-        clear();
     }
 
     #[cfg(not(feature = "failpoints"))]

@@ -30,6 +30,8 @@
 
 use std::time::Duration;
 
+use crate::registry::mix;
+
 /// Bounded-retry policy for transiently failing cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -50,15 +52,6 @@ impl Default for RetryPolicy {
             max_backoff: Duration::from_secs(1),
         }
     }
-}
-
-/// SplitMix64 mix — the same generator the rest of the workspace uses for
-/// seed decorrelation.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl RetryPolicy {

@@ -40,10 +40,12 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A task: the erased closure plus the scope it must report completion to.
+/// A task: the erased closure, the scope it must report completion to and
+/// its submitter's failpoint scenario.
 struct TaskCell {
     run: Box<dyn FnOnce() + Send + 'static>,
     scope: Arc<ScopeState>,
+    carry: wmh_fault::Carry,
 }
 
 /// Tasks travel through the deques as raw `usize` payloads.
@@ -112,16 +114,17 @@ struct WorkerHandle {
 
 /// Execute one task, reporting panics and completion to its scope.
 fn run_task(shared: &Shared, payload: usize) {
-    let cell = from_payload(payload);
-    let scope = Arc::clone(&cell.scope);
-    // Delay-only injection site: chaos scenarios stall workers here
-    // (`par::worker_delay=p0.3:sleep2ms`) to shuffle task interleavings;
-    // a `fail` action makes no sense for a spawned task, so the result is
-    // deliberately ignored.
-    let _ = wmh_fault::point!("par::worker_delay");
-    if let Err(panic) = catch_unwind(AssertUnwindSafe(cell.run)) {
-        scope.record_panic(panic);
-    }
+    let TaskCell { run, scope, carry } = *from_payload(payload);
+    carry.run(|| {
+        // Delay-only injection site: chaos scenarios stall workers here
+        // (`par::worker_delay=p0.3:sleep2ms`) to shuffle task interleavings;
+        // a `fail` action makes no sense for a spawned task, so the result
+        // is deliberately ignored.
+        let _ = wmh_fault::point!("par::worker_delay");
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(run)) {
+            scope.record_panic(panic);
+        }
+    });
     if scope.pending.fetch_sub(1, Ordering::Release) == 1 {
         shared.bump(); // last task: wake the scope caller
     }
@@ -364,7 +367,9 @@ pub struct Scope<'pool, 'env> {
 impl<'env> Scope<'_, 'env> {
     /// Spawn a task. It may borrow from the enclosing environment; the
     /// scope does not return until it has run to completion (or panicked —
-    /// the panic is re-raised by [`ThreadPool::scope`]).
+    /// the panic is re-raised by [`ThreadPool::scope`]). The task's
+    /// failpoints see the caller's `wmh_fault` scenario, whichever thread
+    /// runs it.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'env,
@@ -376,7 +381,11 @@ impl<'env> Scope<'_, 'env> {
         // store the task in the pool's queues.
         let boxed: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(boxed) };
         self.state.pending.fetch_add(1, Ordering::AcqRel);
-        self.pool.submit(Box::new(TaskCell { run: boxed, scope: Arc::clone(&self.state) }));
+        self.pool.submit(Box::new(TaskCell {
+            run: boxed,
+            scope: Arc::clone(&self.state),
+            carry: wmh_fault::Carry::capture(),
+        }));
     }
 }
 
@@ -528,7 +537,7 @@ mod tests {
     /// The delay-injection point stalls workers but never drops tasks.
     #[test]
     fn worker_delay_injection_only_shuffles_schedules() {
-        let _g = wmh_fault::scenario("par::worker_delay=p0.5:sleep1ms", 9).expect("scenario");
+        let g = wmh_fault::scenario("par::worker_delay=p0.5:sleep1ms", 9).expect("scenario");
         let pool = ThreadPool::new(4);
         let count = AtomicUsize::new(0);
         pool.scope(|scope| {
@@ -540,7 +549,7 @@ mod tests {
             }
         });
         assert_eq!(count.load(Ordering::Relaxed), 32, "every task must still run");
-        assert_eq!(wmh_fault::hits("par::worker_delay"), 32, "every task passes the point");
-        assert!(wmh_fault::fired("par::worker_delay") > 0, "p0.5 over 32 tasks should fire");
+        assert_eq!(g.hits("par::worker_delay"), 32, "every task passes the point");
+        assert!(g.fired("par::worker_delay") > 0, "p0.5 over 32 tasks should fire");
     }
 }

@@ -73,19 +73,6 @@ fn table4() -> Schema {
     ]))
 }
 
-fn par_sweep() -> Schema {
-    Schema::object(vec![
-        ("bench", Schema::Str),
-        ("available_cores", Schema::UInt),
-        ("threads", Schema::UInt),
-        ("cells", Schema::UInt),
-        ("serial_secs", Schema::Number),
-        ("parallel_secs", Schema::Number),
-        ("speedup", Schema::Number),
-        ("byte_identical", Schema::Bool),
-    ])
-}
-
 fn ablation_bbit() -> Schema {
     Schema::array(Schema::object(vec![
         ("bits", Schema::UInt),
@@ -156,9 +143,6 @@ fn streaming_study() -> Schema {
 /// failure, not a skip.
 #[must_use]
 pub fn schema_for(file_name: &str) -> Option<Schema> {
-    if file_name == "BENCH_par_sweep.json" {
-        return Some(par_sweep());
-    }
     if file_name == "BENCH_baseline.json" || file_name.starts_with("BENCH_fig9") {
         return Some(perf_report());
     }

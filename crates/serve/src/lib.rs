@@ -57,7 +57,9 @@
 //! `serve::reshard`), and the durability lifecycle (`serve::wal_rotate`,
 //! `serve::wal_replay` tagged by generation, `serve::snapshot_write`,
 //! `serve::snapshot_fsync`, `serve::snapshot_rename`, `serve::scrub`,
-//! `serve::scrub_audit` tagged by shard id); the crate's chaos soaks
+//! `serve::scrub_audit` tagged by shard id). Shard jobs, connection
+//! handlers and the scrubber run under the failpoint scenario of the
+//! thread that submitted or started them. The crate's chaos soaks
 //! drive concurrent queries and the kill-resume/mutation/snapshot scripts
 //! under injected faults, asserting that every request gets a typed
 //! outcome and that recovery — quarantine repair, WAL replay, snapshot

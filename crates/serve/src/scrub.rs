@@ -142,17 +142,19 @@ impl Drop for Scrubber {
 /// Pass outcomes — reports and errors alike — are absorbed: the scrubber
 /// is maintenance, and a failed pass must never take the service down
 /// with it (the next pass retries from scratch). The loop sleeps in short
-/// slices so `stop` is responsive even at long intervals.
+/// slices so `stop` is responsive even at long intervals. Passes run under
+/// the calling thread's failpoint scenario.
 ///
 /// # Errors
 /// `std::io::Error` when the OS refuses the thread.
 pub fn spawn_scrubber(service: Arc<Service>, interval: Duration) -> std::io::Result<Scrubber> {
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
+    let carry = wmh_fault::Carry::capture();
     let handle = std::thread::Builder::new().name("wmh-serve-scrub".into()).spawn(move || {
         const SLICE: Duration = Duration::from_millis(50);
         let mut slept = Duration::ZERO;
-        loop {
+        carry.run(|| loop {
             if flag.load(Ordering::Acquire) {
                 return;
             }
@@ -162,7 +164,7 @@ pub fn spawn_scrubber(service: Arc<Service>, interval: Duration) -> std::io::Res
             }
             std::thread::sleep(SLICE.min(interval));
             slept += SLICE.min(interval);
-        }
+        });
     })?;
     Ok(Scrubber { stop, handle: Some(handle) })
 }

@@ -46,7 +46,8 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (port 0 picks a free port — see [`Server::addr`]) and
-    /// start accepting connections against `service`.
+    /// start accepting connections against `service`. Connections are
+    /// served under the calling thread's failpoint scenario.
     ///
     /// # Errors
     /// [`ServerError`] when the bind or the accept-loop spawn fails.
@@ -55,6 +56,7 @@ impl Server {
         let local = listener.local_addr().map_err(|e| ServerError::Bind(e.to_string()))?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
+        let carry = wmh_fault::Carry::capture();
         let accept = std::thread::Builder::new()
             .name("wmh-serve-accept".into())
             .spawn(move || {
@@ -63,13 +65,13 @@ impl Server {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
-                    let service = Arc::clone(&service);
+                    let (service, carry) = (Arc::clone(&service), carry.clone());
                     // Handlers are detached: each exits when its peer
                     // closes, and the process does not wait on idle
                     // keep-alive connections to shut the listener down.
                     let _ = std::thread::Builder::new()
                         .name("wmh-serve-conn".into())
-                        .spawn(move || handle_connection(&service, stream));
+                        .spawn(move || carry.run(|| handle_connection(&service, stream)));
                 }
             })
             .map_err(|e| ServerError::Spawn(e.to_string()))?;

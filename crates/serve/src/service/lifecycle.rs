@@ -211,7 +211,7 @@ impl Service {
                     let shards = self.lock_shards_read();
                     let (tx, rx) = mpsc::channel();
                     let job = Job::Audit(AuditJob { ids: ids.clone(), reply: tx });
-                    if shards[shard_id].tx.send(job).is_err() {
+                    if shards[shard_id].send(job).is_err() {
                         report.heal_errors.push(format!("shard {shard_id}: audit inbox closed"));
                         continue;
                     }

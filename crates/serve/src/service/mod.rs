@@ -513,9 +513,7 @@ impl Drop for Service {
         let shards =
             std::mem::take(&mut *self.shards.get_mut().unwrap_or_else(PoisonError::into_inner));
         for shard in shards {
-            let Shard { tx, handle } = shard;
-            drop(tx);
-            let _ = handle.join();
+            shard.close();
         }
     }
 }

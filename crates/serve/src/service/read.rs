@@ -84,7 +84,7 @@ impl Service {
                     deadline,
                     reply: reply_tx.clone(),
                 });
-                match shard.tx.try_send(job) {
+                match shard.try_send(job) {
                     Ok(()) => sent += 1,
                     // Explicit load-shedding: the slice is *counted*, not
                     // silently missing.

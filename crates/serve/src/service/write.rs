@@ -336,8 +336,7 @@ impl Service {
             // Blocking send: the mutation is durable, so it must reach the
             // worker; the worker always drains, so the wait is bounded by
             // the queue depth.
-            let sent =
-                shards[shard_id].tx.send(Job::Apply(Box::new(ApplyJob { op, reply: ack_tx })));
+            let sent = shards[shard_id].send(Job::Apply(Box::new(ApplyJob { op, reply: ack_tx })));
             (shard_id, sent, ack_rx)
         };
         let committed = |outcome: Outcome, applied: bool, error: Option<String>| MutationResponse {

@@ -8,6 +8,10 @@
 //! dropping it would desynchronize memory from the log — the worker always
 //! drains its inbox, so the wait is bounded by the queue depth.
 //!
+//! Every job travels with its submitter's `wmh_fault` scenario and runs
+//! under it, so a fault schedule follows the request that armed it, not
+//! the long-lived worker thread.
+//!
 //! A shard never answers out of band — every job it dequeues is answered
 //! on the job's own reply channel with exactly one message, and a reply
 //! nobody is waiting for anymore (deadline already served) is dropped by
@@ -26,7 +30,7 @@
 //! self-heals by rebuilding the shard from the durable state.
 
 use std::collections::HashMap;
-use std::sync::mpsc::{sync_channel, Sender, SyncSender};
+use std::sync::mpsc::{sync_channel, SendError, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -34,6 +38,7 @@ use crate::deadline::Deadline;
 use crate::fingerprint::BbitFingerprint;
 use wmh_core::{Sketch, Sketcher};
 use wmh_fault::supervisor::{supervise, Attempt, CellOutcome, RetryPolicy};
+use wmh_fault::Carry;
 use wmh_lsh::LshIndex;
 
 /// The runtime-selected sketcher shards are built over.
@@ -141,11 +146,11 @@ pub(crate) enum Job {
 
 /// A running shard: its bounded inbox and its worker thread.
 pub(crate) struct Shard {
-    /// Bounded inbox; query `try_send` failures are explicit sheds.
-    pub tx: SyncSender<Job>,
+    /// Bounded inbox of jobs, each with its submitter's scenario.
+    tx: SyncSender<(Carry, Job)>,
     /// The worker, joined on service drop (detached when a re-shard swaps
     /// the fleet — the worker exits on its own once the inbox drains).
-    pub handle: JoinHandle<()>,
+    handle: JoinHandle<()>,
 }
 
 impl Shard {
@@ -158,15 +163,15 @@ impl Shard {
         retry: RetryPolicy,
         seed: u64,
     ) -> Result<Self, String> {
-        let (tx, rx) = sync_channel::<Job>(queue_depth);
+        let (tx, rx) = sync_channel::<(Carry, Job)>(queue_depth);
         let handle = std::thread::Builder::new()
             .name(format!("wmh-serve-shard-{id}"))
             .spawn(move || {
                 let mut index = index;
                 let mut fingerprints = fingerprints;
                 let tag = id.to_string();
-                while let Ok(job) = rx.recv() {
-                    match job {
+                while let Ok((carry, job)) = rx.recv() {
+                    carry.run(|| match job {
                         Job::Query(job) => {
                             let outcome = run_query(&tag, &index, &fingerprints, &job);
                             // A receiver that stopped listening (deadline
@@ -193,11 +198,28 @@ impl Shard {
                                 .collect();
                             let _ = job.reply.send(report);
                         }
-                    }
+                    });
                 }
             })
             .map_err(|e| format!("spawning shard {id} worker: {e}"))?;
         Ok(Self { tx, handle })
+    }
+
+    /// Enqueue `job` without blocking; a full inbox is an explicit shed.
+    pub fn try_send(&self, job: Job) -> Result<(), TrySendError<(Carry, Job)>> {
+        self.tx.try_send((Carry::capture(), job))
+    }
+
+    /// Enqueue `job`, waiting for inbox room.
+    pub fn send(&self, job: Job) -> Result<(), SendError<(Carry, Job)>> {
+        self.tx.send((Carry::capture(), job))
+    }
+
+    /// Close the inbox, ending the worker's loop once it drains, and join
+    /// the worker.
+    pub fn close(self) {
+        drop(self.tx);
+        let _ = self.handle.join();
     }
 }
 

@@ -451,17 +451,11 @@ fn decode(bytes: &[u8], provenance: &WalProvenance) -> Result<SnapshotState, Wal
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmh_check::scratch;
     use wmh_core::extensions::HistoSketch;
 
     fn provenance() -> WalProvenance {
         WalProvenance { algorithm: "ICWS".into(), seed: 9, num_hashes: 8 }
-    }
-
-    fn dir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("wmh-snap-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).expect("mkdir");
-        d
     }
 
     fn sample(gen: u64) -> SnapshotState {
@@ -479,7 +473,7 @@ mod tests {
 
     #[test]
     fn round_trip_is_bit_exact_and_newest_valid_wins() {
-        let d = dir("roundtrip");
+        let d = scratch("snap-roundtrip");
         let p = provenance();
         write(&d, &p, &sample(1)).expect("write gen 1");
         write(&d, &p, &sample(4)).expect("write gen 4");
@@ -496,7 +490,7 @@ mod tests {
 
     #[test]
     fn corrupt_newest_falls_back_one_generation() {
-        let d = dir("fallback");
+        let d = scratch("snap-fallback");
         let p = provenance();
         write(&d, &p, &sample(2)).expect("write gen 2");
         let newest = write(&d, &p, &sample(3)).expect("write gen 3");
@@ -515,7 +509,7 @@ mod tests {
 
     #[test]
     fn truncated_snapshot_is_rejected_by_the_footer() {
-        let d = dir("torn");
+        let d = scratch("snap-torn");
         let p = provenance();
         let path = write(&d, &p, &sample(1)).expect("write");
         let bytes = std::fs::read(&path).expect("read");
@@ -531,7 +525,7 @@ mod tests {
 
     #[test]
     fn provenance_mismatch_is_a_hard_error_not_a_skip() {
-        let d = dir("prov");
+        let d = scratch("snap-prov");
         write(&d, &provenance(), &sample(1)).expect("write");
         let other = WalProvenance { algorithm: "ICWS".into(), seed: 10, num_hashes: 8 };
         match load_latest(&d, &other) {
@@ -543,7 +537,7 @@ mod tests {
 
     #[test]
     fn failed_write_leaves_no_trace() {
-        let d = dir("enospc");
+        let d = scratch("snap-enospc");
         let p = provenance();
         write(&d, &p, &sample(1)).expect("write gen 1");
         for point in ["serve::snapshot_write", "serve::snapshot_fsync", "serve::snapshot_rename"] {
@@ -572,7 +566,7 @@ mod tests {
 
     #[test]
     fn retain_latest_keeps_the_newest_two() {
-        let d = dir("retain");
+        let d = scratch("snap-retain");
         let p = provenance();
         for gen in 1..=5 {
             write(&d, &p, &sample(gen)).expect("write");

@@ -956,16 +956,10 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmh_check::scratch;
 
     fn provenance() -> WalProvenance {
         WalProvenance { algorithm: "ICWS".into(), seed: 9, num_hashes: 128 }
-    }
-
-    fn dir(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("wmh-wal-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).expect("mkdir");
-        d
     }
 
     fn sample() -> Vec<Mutation> {
@@ -983,7 +977,7 @@ mod tests {
 
     #[test]
     fn append_replay_round_trips() {
-        let d = dir("roundtrip");
+        let d = scratch("wal-roundtrip");
         let path = d.join("serve.wal");
         let (mut wal, replayed, report) = Wal::open(&path, &provenance(), 0).expect("create");
         assert!(replayed.is_empty());
@@ -1009,7 +1003,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_rewound_and_appends_continue() {
-        let d = dir("torn");
+        let d = scratch("wal-torn");
         let path = d.join("serve.wal");
         let (mut wal, _, _) = Wal::open(&path, &provenance(), 0).expect("create");
         for m in sample() {
@@ -1039,7 +1033,7 @@ mod tests {
 
     #[test]
     fn corrupt_middle_of_last_segment_reads_as_torn_tail() {
-        let d = dir("corrupt");
+        let d = scratch("wal-corrupt");
         let path = d.join("serve.wal");
         let (mut wal, _, _) = Wal::open(&path, &provenance(), 0).expect("create");
         for m in sample() {
@@ -1063,7 +1057,7 @@ mod tests {
 
     #[test]
     fn corrupt_sealed_segment_is_a_typed_error_not_a_salvage() {
-        let d = dir("sealed");
+        let d = scratch("wal-sealed");
         let path = d.join("serve.wal");
         let (mut wal, _, _) = Wal::open(&path, &provenance(), 0).expect("create");
         for m in sample() {
@@ -1089,7 +1083,7 @@ mod tests {
 
     #[test]
     fn rotation_seals_and_replay_crosses_segments_in_order() {
-        let d = dir("rotate");
+        let d = scratch("wal-rotate");
         let path = d.join("serve.wal");
         let (mut wal, _, _) = Wal::open(&path, &provenance(), 0).expect("create");
         wal.append(&sample()[0]).expect("append");
@@ -1110,7 +1104,7 @@ mod tests {
 
     #[test]
     fn replay_floor_skips_retirement_pending_segments() {
-        let d = dir("floor");
+        let d = scratch("wal-floor");
         let path = d.join("serve.wal");
         let (mut wal, _, _) = Wal::open(&path, &provenance(), 0).expect("create");
         wal.append(&sample()[0]).expect("append");
@@ -1128,7 +1122,7 @@ mod tests {
 
     #[test]
     fn replay_floor_above_oldest_missing_history_is_corrupt() {
-        let d = dir("hole");
+        let d = scratch("wal-hole");
         let path = d.join("serve.wal");
         let (mut wal, _, _) = Wal::open(&path, &provenance(), 0).expect("create");
         wal.rotate().expect("rotate");
@@ -1146,7 +1140,7 @@ mod tests {
 
     #[test]
     fn retire_below_deletes_only_sealed_old_segments() {
-        let d = dir("retire");
+        let d = scratch("wal-retire");
         let path = d.join("serve.wal");
         let (mut wal, _, _) = Wal::open(&path, &provenance(), 0).expect("create");
         wal.append(&sample()[0]).expect("append");
@@ -1166,7 +1160,7 @@ mod tests {
 
     #[test]
     fn quarantine_renames_a_sealed_segment_out_of_the_scan() {
-        let d = dir("quarantine");
+        let d = scratch("wal-quarantine");
         let path = d.join("serve.wal");
         let (mut wal, _, _) = Wal::open(&path, &provenance(), 0).expect("create");
         wal.append(&sample()[0]).expect("append");
@@ -1186,7 +1180,7 @@ mod tests {
 
     #[test]
     fn interrupted_rotation_header_is_dropped_and_previous_resumes() {
-        let d = dir("tornrotate");
+        let d = scratch("wal-tornrotate");
         let path = d.join("serve.wal");
         let (mut wal, _, _) = Wal::open(&path, &provenance(), 0).expect("create");
         for m in sample() {
@@ -1206,7 +1200,7 @@ mod tests {
 
     #[test]
     fn provenance_mismatch_is_typed() {
-        let d = dir("prov");
+        let d = scratch("wal-prov");
         let path = d.join("serve.wal");
         let (_, _, _) = Wal::open(&path, &provenance(), 0).expect("create");
         let other = WalProvenance { algorithm: "ICWS".into(), seed: 10, num_hashes: 128 };
@@ -1222,7 +1216,7 @@ mod tests {
 
     #[test]
     fn foreign_segment_is_bad_magic() {
-        let d = dir("magic");
+        let d = scratch("wal-magic");
         let path = d.join("serve.wal");
         std::fs::create_dir_all(&path).expect("mkdir");
         std::fs::write(active_path(&path, 0), b"definitely not a wal").expect("write");
@@ -1234,7 +1228,7 @@ mod tests {
 
     #[test]
     fn plain_file_is_a_typed_error_and_left_alone() {
-        let d = dir("plain");
+        let d = scratch("wal-plain");
         let path = d.join("serve.wal");
         std::fs::write(&path, b"not a directory").expect("write");
         assert!(matches!(inspect(&path), Err(WalError::Io(_))));
@@ -1245,7 +1239,7 @@ mod tests {
 
     #[test]
     fn float_payloads_survive_bit_exactly() {
-        let d = dir("bits");
+        let d = scratch("wal-bits");
         let path = d.join("serve.wal");
         let (mut wal, _, _) = Wal::open(&path, &provenance(), 0).expect("create");
         let m = Mutation::Stream {
@@ -1264,7 +1258,7 @@ mod tests {
 
     #[test]
     fn inspect_reports_segments_and_flags_corruption() {
-        let d = dir("inspect");
+        let d = scratch("wal-inspect");
         let path = d.join("serve.wal");
         let (mut wal, _, _) = Wal::open(&path, &provenance(), 0).expect("create");
         for m in sample() {

@@ -12,10 +12,10 @@
 //!   sweep supervisor's retry policy; a permanently failing shard surfaces
 //!   as a typed [`ServiceError::Ingest`], never a panic.
 //!
-//! Every test holds a [`wmh_fault::scenario`] guard for its full duration
-//! (fault-free phases run under a never-firing probe via
-//! [`wmh_fault::configure`]/[`wmh_fault::clear`] without releasing the
-//! lock), so scenarios cannot leak across concurrently scheduled tests.
+//! Each fault phase enters its own [`wmh_fault::scenario`]; the service's
+//! shard jobs and the `hammer` threads carry it, so tests run concurrently
+//! without seeing each other's faults, and dropping the scenario ends the
+//! phase.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -43,7 +43,6 @@ fn query(doc: &WeightedSet, id: u64) -> QueryRequest {
 /// byte-identical to the fault-free baseline.
 #[test]
 fn quarantine_and_recovery_is_byte_identical() {
-    let _guard = wmh_fault::scenario("soak::baseline=never", seed()).expect("scenario");
     let docs = corpus(64);
     let service = Service::from_store(&store_for(&docs), config(4)).expect("service");
     let queries: Vec<QueryRequest> = (0..8).map(|i| query(&docs[i], i as u64)).collect();
@@ -57,7 +56,7 @@ fn quarantine_and_recovery_is_byte_identical() {
         .collect();
 
     // Shard 1 starts failing every probe it sees.
-    wmh_fault::configure("serve::shard_query@1=always", seed()).expect("configure");
+    let faults = wmh_fault::scenario("serve::shard_query@1=always", seed()).expect("scenario");
     let mut saw_quarantine = false;
     for i in 0..32u64 {
         let response = service.query(&query(&docs[(i % 16) as usize], 1000 + i));
@@ -77,7 +76,7 @@ fn quarantine_and_recovery_is_byte_identical() {
     assert!(saw_quarantine, "shard 1 never reached quarantine");
 
     // Fault gone; half-open probes must restore the shard.
-    wmh_fault::clear();
+    drop(faults);
     let mut recovered = false;
     for i in 0..32u64 {
         let response = service.query(&query(&docs[(i % 16) as usize], 2000 + i));
@@ -155,7 +154,7 @@ fn permanent_ingest_failure_is_a_typed_error() {
 /// faults clear, probes repair the fleet, and it serves everything again.
 #[test]
 fn every_request_is_typed_under_chaos_then_recovers() {
-    let _guard = wmh_fault::scenario("serve::shard_query=p0.2;serve::admission=p0.05", seed())
+    let chaos = wmh_fault::scenario("serve::shard_query=p0.2;serve::admission=p0.05", seed())
         .expect("scenario");
     let docs = corpus(64);
     let service = Service::from_store(&store_for(&docs), config(4)).expect("service");
@@ -178,7 +177,7 @@ fn every_request_is_typed_under_chaos_then_recovers() {
     assert!(tally[0] < 240, "the chaos schedule never fired: {tally:?}");
 
     // Faults off; let probes repair whatever got quarantined.
-    wmh_fault::clear();
+    drop(chaos);
     let mut recovered = false;
     for i in 0..64u64 {
         let _ = service.query(&query(&docs[(i % 16) as usize], 10_000 + i));

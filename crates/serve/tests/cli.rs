@@ -6,10 +6,11 @@ use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::process::{Child, Command, Output, Stdio};
 
+use wmh_check::scratch;
 use wmh_serve::{Client, Outcome, QueryRequest};
 
 mod common;
-use common::{corpus, scratch, store_for};
+use common::{corpus, store_for};
 
 fn wmh_serve(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_wmh-serve")).args(args).output().expect("run wmh-serve")

@@ -2,8 +2,6 @@
 //! uses a subset, hence the `dead_code` allowance.
 #![allow(dead_code)]
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use wmh_core::{SketchStore, Sketcher};
@@ -80,27 +78,4 @@ pub fn script(docs: &[WeightedSet], n: usize) -> Vec<MutationRequest> {
             MutationRequest { id, kind, deadline_us: Some(5_000_000) }
         })
         .collect()
-}
-
-/// A fresh, empty directory under the OS temp dir. A per-process counter
-/// makes every call distinct, so two tests never share a directory.
-pub fn scratch(label: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir =
-        std::env::temp_dir().join(format!("wmh-serve-test-{label}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
-#[test]
-fn scratch_dirs_are_distinct_and_live_under_tmp() {
-    let (a, b) = (scratch("sanity"), scratch("sanity"));
-    assert_ne!(a, b, "two calls must never share a directory");
-    for dir in [a, b] {
-        assert!(dir.starts_with(std::env::temp_dir()), "{}", dir.display());
-        assert!(dir.is_dir());
-        let _ = std::fs::remove_dir_all(dir);
-    }
 }

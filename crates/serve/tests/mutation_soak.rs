@@ -21,11 +21,13 @@
 //!   typed error that leaves the old fleet serving. While a re-shard runs,
 //!   queries answer `ok` at full coverage from the old fleet.
 //!
-//! Every test holds a [`wmh_fault::scenario`] guard for its full duration,
-//! so schedules cannot leak across concurrently scheduled tests.
+//! Each test's faults live in its own [`wmh_fault::scenario`], which the
+//! service's shard jobs carry, so schedules cannot leak across
+//! concurrently scheduled tests.
 
 use std::io::Write as _;
 
+use wmh_check::scratch;
 use wmh_core::{SketchStore, Sketcher};
 use wmh_serve::{
     MutationKind, MutationRequest, Outcome, QueryRequest, Service, ServiceConfig, ServiceError,
@@ -33,7 +35,7 @@ use wmh_serve::{
 use wmh_sets::WeightedSet;
 
 mod common;
-use common::{corpus, fast_retry, probe, scratch, script, seed, store_for};
+use common::{corpus, fast_retry, probe, script, seed, store_for};
 
 fn config(shards: usize) -> ServiceConfig {
     ServiceConfig {
@@ -71,7 +73,7 @@ fn run_script(service: &Service, script: &[MutationRequest]) -> Vec<MutationRequ
 /// byte-identically to a fresh service that applied exactly the
 /// acknowledged-durable mutations fault-free.
 fn kill_resume_is_byte_identical(label: &str, schedule: &str, shards: usize) {
-    let _guard = wmh_fault::scenario(schedule, seed()).expect("scenario");
+    let faults = wmh_fault::scenario(schedule, seed()).expect("scenario");
     let docs = corpus(32);
     let store = store_for(&docs);
     let dir = scratch(&format!("{label}-{shards}"));
@@ -81,7 +83,7 @@ fn kill_resume_is_byte_identical(label: &str, schedule: &str, shards: usize) {
     let acked = run_script(&service, &script(&docs, 24));
     drop(service); // SIGKILL stand-in: nothing but the WAL survives.
 
-    wmh_fault::clear();
+    drop(faults);
     let recovered = Service::open(&store, &wal, config(shards)).expect("reopen");
     assert_eq!(
         recovered.wal_recovery().expect("writable service").records,
@@ -131,7 +133,7 @@ fn kill_resume_under_apply_faults() {
 /// so a reopen is byte-identical to a service that never saw a write.
 #[test]
 fn exhausted_append_flips_read_only_and_commits_nothing() {
-    let _guard = wmh_fault::scenario("serve::wal_append=always", seed()).expect("scenario");
+    let faults = wmh_fault::scenario("serve::wal_append=always", seed()).expect("scenario");
     let docs = corpus(24);
     let store = store_for(&docs);
     let dir = scratch("read-only");
@@ -154,7 +156,7 @@ fn exhausted_append_flips_read_only_and_commits_nothing() {
     assert_eq!(served.outcome, Outcome::Ok, "reads must survive the write-path loss: {served:?}");
     drop(service);
 
-    wmh_fault::clear();
+    drop(faults);
     let reopened = Service::open(&store, &dir.join("soak.wal"), config(2)).expect("reopen");
     let report = reopened.wal_recovery().expect("writable service");
     assert_eq!(report.records, 0, "nothing unacknowledged may replay: {report:?}");
@@ -167,7 +169,6 @@ fn exhausted_append_flips_read_only_and_commits_nothing() {
 /// discarded on replay; every complete record before it survives.
 #[test]
 fn torn_tail_is_discarded_not_misread() {
-    let _guard = wmh_fault::scenario("soak::baseline=never", seed()).expect("scenario");
     let docs = corpus(24);
     let store = store_for(&docs);
     let dir = scratch("torn-tail");
@@ -200,7 +201,7 @@ fn torn_tail_is_discarded_not_misread() {
 /// converges to exactly the fault-free result.
 #[test]
 fn apply_exhaustion_self_heals_byte_identically() {
-    let _guard = wmh_fault::scenario("serve::apply@0=always", seed()).expect("scenario");
+    let faults = wmh_fault::scenario("serve::apply@0=always", seed()).expect("scenario");
     let docs = corpus(24);
     let store = store_for(&docs);
     let dir = scratch("self-heal");
@@ -219,7 +220,7 @@ fn apply_exhaustion_self_heals_byte_identically() {
     assert!(healed > 0, "the @0 schedule must have forced at least one rebuild");
 
     // Fault-free twin over its own log: state must match exactly.
-    wmh_fault::clear();
+    drop(faults);
     let reference =
         Service::open(&store, &dir.join("reference.wal"), config(2)).expect("reference");
     for request in &mutations {
@@ -234,7 +235,7 @@ fn apply_exhaustion_self_heals_byte_identically() {
 /// (`read_only`) only while the re-shard runs.
 #[test]
 fn reshard_under_faults_is_byte_identical_to_from_scratch() {
-    let _guard = wmh_fault::scenario("serve::reshard=1in3", seed()).expect("scenario");
+    let faults = wmh_fault::scenario("serve::reshard=1in3", seed()).expect("scenario");
     let docs = corpus(32);
     let store = store_for(&docs);
     let dir = scratch("reshard");
@@ -256,7 +257,7 @@ fn reshard_under_faults_is_byte_identical_to_from_scratch() {
     });
     assert_eq!(after.outcome, Outcome::Ok, "writes must resume post-re-shard: {after:?}");
 
-    wmh_fault::clear();
+    drop(faults);
     let fresh = Service::open(&store, &wal, config(8)).expect("from-scratch at 8 shards");
     assert_eq!(
         probe(&service, &docs),
@@ -315,7 +316,8 @@ fn queries_during_reshard_answer_ok_at_full_coverage() {
 
     let mut queried = 0u64;
     std::thread::scope(|scope| {
-        let reshard = scope.spawn(|| service.reshard_blocking(4));
+        let carry = wmh_fault::Carry::capture();
+        let reshard = scope.spawn(|| carry.run(|| service.reshard_blocking(4)));
         while !service.health().resharding {
             assert!(!reshard.is_finished(), "the re-shard ended before it was observed");
             std::thread::yield_now();
@@ -345,7 +347,6 @@ fn queries_during_reshard_answer_ok_at_full_coverage() {
 /// against a different one, typed — never silently replayed.
 #[test]
 fn foreign_wal_is_rejected_typed() {
-    let _guard = wmh_fault::scenario("soak::baseline=never", seed()).expect("scenario");
     let docs = corpus(16);
     let store = store_for(&docs);
     let dir = scratch("foreign");

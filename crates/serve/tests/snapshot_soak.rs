@@ -29,16 +29,17 @@
 //!   rejects with typed backoff while the fault persists, and re-admits
 //!   writes via a deterministic probe append once it clears.
 //!
-//! Every test holds a [`wmh_fault::scenario`] guard for its full
-//! duration, so schedules cannot leak across concurrently scheduled
-//! tests.
+//! Each test's faults live in its own [`wmh_fault::scenario`], which the
+//! service's shard jobs and threads carry, so schedules cannot leak
+//! across concurrently scheduled tests.
 
 use std::path::Path;
 
+use wmh_check::scratch;
 use wmh_serve::{snapshot, MutationRequest, Outcome, Service, ServiceConfig, ServiceError};
 
 mod common;
-use common::{corpus, fast_retry, probe, scratch, script, seed, store_for};
+use common::{corpus, fast_retry, probe, script, seed, store_for};
 
 fn config(shards: usize) -> ServiceConfig {
     ServiceConfig {
@@ -81,7 +82,7 @@ fn segment_name(gen: u64) -> String {
 /// must answer byte-identically to a twin that applied the same script
 /// on a fresh log with no snapshots and no faults anywhere.
 fn lifecycle_kill_resume(label: &str, schedule: &str, shards: usize) {
-    let _guard = wmh_fault::scenario(schedule, seed()).expect("scenario");
+    let faults = wmh_fault::scenario(schedule, seed()).expect("scenario");
     let docs = corpus(32);
     let store = store_for(&docs);
     let dir = scratch(&format!("{label}-{shards}"));
@@ -101,7 +102,7 @@ fn lifecycle_kill_resume(label: &str, schedule: &str, shards: usize) {
     }
     drop(service); // SIGKILL stand-in: only the WAL directory survives.
 
-    wmh_fault::clear();
+    drop(faults);
     let recovered = Service::open(&store, &wal, snapping).expect("reopen");
     let twin = Service::open(&store, &dir.join("twin.wal"), config(shards)).expect("twin open");
     apply_all(&twin, &requests);
@@ -153,7 +154,7 @@ fn kill_resume_under_scrub_faults() {
 /// failpoint, with the retired generation-0 segment file actually gone.
 #[test]
 fn recovery_after_compaction_replays_only_live_segments() {
-    let _guard = wmh_fault::scenario("soak::baseline=never", seed()).expect("scenario");
+    let soak = wmh_fault::scenario("soak::baseline=never", seed()).expect("scenario");
     let docs = corpus(24);
     let store = store_for(&docs);
     let dir = scratch("compaction");
@@ -180,9 +181,9 @@ fn recovery_after_compaction_replays_only_live_segments() {
         "the fallback generation's covering segment must survive"
     );
 
-    let before = wmh_fault::hits("serve::wal_replay");
+    let before = soak.hits("serve::wal_replay");
     let recovered = Service::open(&store, &wal, config(2)).expect("reopen");
-    let replayed = wmh_fault::hits("serve::wal_replay") - before;
+    let replayed = soak.hits("serve::wal_replay") - before;
     assert_eq!(replayed, 1, "only the newest snapshot's tail segment may replay");
     let report = recovered.wal_recovery().expect("writable service");
     assert_eq!(report.records, 3, "exactly the post-snapshot tail: {report:?}");
@@ -201,7 +202,6 @@ fn recovery_after_compaction_replays_only_live_segments() {
 /// WAL segments — byte-identical to the acknowledged state.
 #[test]
 fn corrupt_newest_snapshot_falls_back_one_generation() {
-    let _guard = wmh_fault::scenario("soak::baseline=never", seed()).expect("scenario");
     let docs = corpus(24);
     let store = store_for(&docs);
     let dir = scratch("fallback");
@@ -240,7 +240,6 @@ fn corrupt_newest_snapshot_falls_back_one_generation() {
 /// litter survives, and writes keep flowing.
 #[test]
 fn failed_snapshot_keeps_the_prior_generation_intact() {
-    let _guard = wmh_fault::scenario("soak::baseline=never", seed()).expect("scenario");
     let docs = corpus(24);
     let store = store_for(&docs);
     let dir = scratch("enospc");
@@ -258,7 +257,8 @@ fn failed_snapshot_keeps_the_prior_generation_intact() {
         "serve::snapshot_rename",
         "serve::wal_rotate",
     ] {
-        wmh_fault::configure(&format!("{failpoint}=always"), seed()).expect("configure");
+        let _faults =
+            wmh_fault::scenario(&format!("{failpoint}=always"), seed()).expect("scenario");
         match service.snapshot() {
             Err(ServiceError::Snapshot(e)) => {
                 assert!(e.contains(failpoint), "the fault must be named: {e}")
@@ -279,9 +279,9 @@ fn failed_snapshot_keeps_the_prior_generation_intact() {
         assert!(litter.is_empty(), "a failed snapshot must clean its temp file: {litter:?}");
     }
 
-    // Writes flow after the aborts, and a kill-resume lands exactly on
-    // the acknowledged state via the intact prior generation.
-    wmh_fault::configure("soak::baseline=never", seed()).expect("configure");
+    // Writes flow after the aborts (each fault scenario exited with its
+    // iteration), and a kill-resume lands exactly on the acknowledged
+    // state via the intact prior generation.
     apply_all(&service, &requests[12..]);
     let reference = probe(&service, &docs);
     drop(service);
@@ -297,7 +297,6 @@ fn failed_snapshot_keeps_the_prior_generation_intact() {
 /// kill-resume recovers from the healed state.
 #[test]
 fn scrub_detects_flipped_bits_and_heals() {
-    let _guard = wmh_fault::scenario("soak::baseline=never", seed()).expect("scenario");
     let docs = corpus(24);
     let store = store_for(&docs);
     let dir = scratch("scrub-rot");
@@ -369,7 +368,7 @@ fn scrub_audit_mismatch_rebuilds_the_shard() {
 /// deterministic probe append re-admits writes once it clears.
 #[test]
 fn tripped_write_gate_readmits_after_the_fault_clears() {
-    let _guard = wmh_fault::scenario("serve::wal_append=always", seed()).expect("scenario");
+    let faults = wmh_fault::scenario("serve::wal_append=always", seed()).expect("scenario");
     let docs = corpus(24);
     let store = store_for(&docs);
     let dir = scratch("half-open");
@@ -391,9 +390,9 @@ fn tripped_write_gate_readmits_after_the_fault_clears() {
         assert!(!rejected.durable && !rejected.applied, "{rejected:?}");
     }
 
-    // Fault clears (guard still held: the registry is ours). Within one
-    // probe cadence a real append goes through and re-opens the gate.
-    wmh_fault::clear();
+    // Fault clears. Within one probe cadence a real append goes through
+    // and re-opens the gate.
+    drop(faults);
     let mut admitted = None;
     for attempt in 0..4 {
         let response = service.mutate(request);

@@ -78,13 +78,13 @@ register() {
 
 register env-scaling "assert the exported WMH_*_CASES plumbing and --quick scaling"
 register build "cargo build across the workspace"
-register test "cargo test across the workspace"
+register test "cargo test across the workspace, parallel and --test-threads=1"
 register conformance "estimator-conformance suite (WMH_CHECK_CASES scales it)"
 register catalog "CLI catalog-count pin (expect 15 algorithms)"
 register panic-gate "static no-panic gate over the sketching core"
 register chaos "adversarial chaos suite (WMH_CHAOS_CASES scales it)"
 register determinism "1-vs-N-thread byte-identity for the parallel sweep"
-register failpoints "wmh-fault scenario/registry suite with failpoints on"
+register failpoints "wmh-fault scenario suite with failpoints on"
 register chaos-soak "Figure-8 sweep under randomized transient fault schedules"
 register serve-soak "wmh-serve quarantine/recovery chaos soak"
 register mutation-soak "WAL kill-resume byte-identity at every commit failpoint"
@@ -127,8 +127,10 @@ step_build() {
   run cargo build "${RELEASE[@]}" --workspace
 }
 
+# Every red binary is reported (--no-fail-fast), in parallel and serially.
 step_test() {
-  run cargo test "${RELEASE[@]}" --workspace -q
+  run cargo test "${RELEASE[@]}" --workspace --no-fail-fast -q
+  run cargo test "${RELEASE[@]}" --workspace --no-fail-fast -q -- --test-threads=1
 }
 
 # Estimator-conformance suite. WMH_CHECK_CASES scales it (the CLT bound
@@ -174,7 +176,7 @@ step_determinism() {
   run cargo test "${RELEASE[@]}" -p wmh-eval --test determinism -q
 }
 
-# Failpoint machinery: the wmh-fault crate's own scenario/registry suite
+# Failpoint machinery: the wmh-fault crate's own scenario suite
 # (points compile to no-ops without the feature, so it must be explicit).
 step_failpoints() {
   run cargo test "${RELEASE[@]}" -p wmh-fault --features failpoints -q

@@ -44,8 +44,7 @@ fn algorithms_lists_all_fifteen() {
 
 #[test]
 fn estimate_reports_expected_similarities() {
-    let dir = std::env::temp_dir().join("wmh_cli_estimate");
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = wmh_check::scratch("cli-estimate");
     let docs = write_docs(&dir);
     let out = wmh()
         .args(["estimate", "--input"])
@@ -63,12 +62,12 @@ fn estimate_reports_expected_similarities() {
     let disjoint =
         text.lines().find(|l| l.contains("alpha ") && l.contains("beta")).expect("pair line");
     assert!(disjoint.contains("0.00"), "{disjoint}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn sketch_writes_fingerprints() {
-    let dir = std::env::temp_dir().join("wmh_cli_sketch");
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = wmh_check::scratch("cli-sketch");
     let docs = write_docs(&dir);
     let out_path = dir.join("sketches.json");
     let out = wmh()
@@ -86,12 +85,12 @@ fn sketch_writes_fingerprints() {
     // Identical documents produce identical fingerprints.
     assert_eq!(parsed["alpha"], parsed["alpha2"]);
     assert_ne!(parsed["alpha"], parsed["beta"]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn dedup_groups_duplicates() {
-    let dir = std::env::temp_dir().join("wmh_cli_dedup");
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = wmh_check::scratch("cli-dedup");
     let docs = write_docs(&dir);
     let out = wmh()
         .args(["dedup", "--input"])
@@ -103,6 +102,7 @@ fn dedup_groups_duplicates() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("alpha") && text.contains("alpha2"), "{text}");
     assert!(!text.contains("beta"), "beta is no duplicate: {text}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -115,8 +115,7 @@ fn bad_inputs_fail_cleanly() {
         wmh().args(["estimate", "--input", "/definitely/missing.json"]).output().expect("spawn");
     assert!(!out.status.success());
 
-    let dir = std::env::temp_dir().join("wmh_cli_bad");
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = wmh_check::scratch("cli-bad");
     let docs = write_docs(&dir);
     let out = wmh()
         .args(["estimate", "--input"])
@@ -126,6 +125,7 @@ fn bad_inputs_fail_cleanly() {
         .expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("available"));
+    let _ = std::fs::remove_dir_all(&dir);
 
     let out = wmh().arg("frobnicate").output().expect("spawn");
     assert!(!out.status.success());
