@@ -10,7 +10,9 @@
 //! the scan lazily at their [`first_band`] (sorted once into the scratch
 //! pair buffer), so the expected cost is `O(n + D log D)` cells —
 //! independent of `D` per element, which is what lets it overtake the
-//! `O(n·D)` CWS family at large `D` (the BENCH_fig9_hot `D128` block).
+//! `O(n·D)` interval-walk samplers at large `D`. The repository
+//! benchmark's traced run times it against the whole catalog as
+//! `core.batch_ns_per_doc.dart` (EXPERIMENTS.md, "Beyond the paper").
 //!
 //! Codes are dart identities: two sets emit the same code in a bucket iff
 //! the same accepted dart wins for both, which happens with probability

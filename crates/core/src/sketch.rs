@@ -238,7 +238,7 @@ impl SketchError {
 /// temporary buffers from here instead of allocating per call, so a batch
 /// or sweep that threads one `SketchScratch` through every call performs
 /// zero heap allocations after the first (warmup) call — the property the
-/// `wmh-perf` allocation-regression test pins.
+/// allocation-regression test `crates/core/tests/alloc.rs` pins.
 ///
 /// The contents carry no state between calls: every kernel fully
 /// re-initializes what it uses, so one scratch may be shared across
@@ -484,8 +484,9 @@ pub trait Sketcher {
     /// Fully allocation-free batch sketching: codes land in a reusable
     /// [`CodeBatch`] (row `i` = set `i`), temporaries come from `scratch`.
     /// After a warmup call of the same shape, a scratch-backed algorithm
-    /// performs zero heap allocations per call — the `wmh-perf`
-    /// allocation-regression test enforces this for MinHash and ICWS.
+    /// performs zero heap allocations per call — the allocation-regression
+    /// test `crates/core/tests/alloc.rs` enforces this for MinHash, ICWS
+    /// and CWS.
     ///
     /// # Errors
     /// The first error [`Self::sketch`] would report, in batch order; the

@@ -511,7 +511,9 @@ impl SketchStore {
     /// point, `path` holds either the previous contents or the new store.
     ///
     /// # Errors
-    /// [`StoreError::Io`] on any filesystem failure.
+    /// [`StoreError::Io`] on any filesystem failure. A failed directory
+    /// fsync is reported too, after the rename: `path` then already holds
+    /// the new store, which is published but not known to be durable.
     pub fn save_to_path(&self, path: &Path) -> Result<(), StoreError> {
         let file_name =
             path.file_name().ok_or_else(|| StoreError::Io("path has no file name".to_owned()))?;
@@ -538,9 +540,8 @@ impl SketchStore {
             std::fs::rename(&tmp, path)?;
             // Make the rename itself durable.
             if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                if let Ok(d) = std::fs::File::open(dir) {
-                    let _ = d.sync_all();
-                }
+                injected(wmh_fault::point!("store::sync_dir"))?;
+                std::fs::File::open(dir)?.sync_all()?;
             }
             Ok(())
         })();

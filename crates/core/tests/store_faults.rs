@@ -5,7 +5,8 @@
 //! survives. These tests drive every failpoint in the save path and check
 //! that promise, then tear the destination with a short write (the
 //! lying-fsync model) and verify the salvage + `RecoveryReport` path
-//! recovers the prefix.
+//! recovers the prefix. A failed directory fsync after the rename is
+//! reported, with the new store already in place.
 
 use wmh_check::scratch;
 use wmh_core::cws::Icws;
@@ -50,6 +51,28 @@ fn injected_failures_keep_saves_atomic() {
         let on_disk = SketchStore::load_from_path(&path).expect("old file intact");
         assert_eq!(on_disk, old, "{point}: failed save must not touch the destination");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failed directory fsync comes after the rename, so the save reports an
+/// `Io` naming the point while the destination already holds the new
+/// store: published, not known durable.
+#[test]
+fn failed_directory_sync_is_reported_after_publish() {
+    let dir = scratch("sync-dir");
+    let path = dir.join("corpus.wmhs");
+    filled_store(2).save_to_path(&path).expect("clean save");
+    let new = filled_store(5);
+    {
+        let g = wmh_fault::scenario("store::sync_dir=once", 1).expect("scenario");
+        match new.save_to_path(&path) {
+            Err(StoreError::Io(msg)) => assert!(msg.contains("store::sync_dir"), "{msg:?}"),
+            other => panic!("a failed directory sync must surface as Io, got {other:?}"),
+        }
+        assert_eq!(g.fired("store::sync_dir"), 1);
+    }
+    assert!(!dir.join("corpus.wmhs.tmp").exists(), "the temp file was renamed away");
+    assert_eq!(SketchStore::load_from_path(&path).expect("renamed file decodes"), new);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -17,12 +17,16 @@
 //! all pairs, `D` up to 200, 10 repeats) and default to a calibrated
 //! laptop-scale configuration whose *shape* matches the paper; see
 //! EXPERIMENTS.md for the recorded outputs of both.
+//!
+//! [`schemas`] registers the shape of every file those binaries write
+//! under `results/`; its tests validate each checked-in file.
 
 pub mod checkpoint;
 pub mod cli;
 pub mod experiments;
 pub mod report;
 pub mod runner;
+pub mod schemas;
 pub mod sweep;
 
 // The cell supervisor (retry policy, seeded backoff, quarantine) moved to

@@ -6,8 +6,8 @@
 #
 # --quick is the inner-loop mode (see CONTRIBUTING.md): debug builds and
 # scaled-down statistical suites, so it finishes in a few minutes. It
-# skips the perf gate — debug-build timings say nothing about release
-# performance. The full (default) mode is the merge gate.
+# skips the `ab` benchmark comparison, which takes about half an hour.
+# The full (default) mode is the merge gate.
 #
 # --only STEP runs a single named step (combine with --quick for a fast
 # debug-build iteration on one gate); --list prints the step names with
@@ -92,8 +92,7 @@ register snapshot-soak "durability-lifecycle kill-resume soak"
 register scrub-gate "flipped-bit detection/quarantine/heal, called out by name"
 register schema-check "every checked-in results/*.json matches its schema"
 register bench-check "test and smoke-run the repository benchmark (its own workspace)"
-register perf-gate "wmh-perf quick suite vs results/BENCH_baseline.json (full mode only)"
-register perf-trajectory "compare the two newest checked-in trajectory points"
+register ab "same-host benchmark A/B against the merge base with main (full mode only)"
 register fmt "cargo fmt --check (advisory if rustfmt missing)"
 register clippy "cargo clippy -D warnings (advisory if clippy missing)"
 
@@ -229,11 +228,11 @@ step_scrub_gate() {
     --test snapshot_soak scrub_detects_flipped_bits_and_heals -q
 }
 
-# Every checked-in results/*.json (and results/trajectory/*.json) must
-# match its registered schema (crates/perf/src/schemas.rs); an
-# unregistered file name is a failure.
+# Every checked-in results/*.json must match its registered schema
+# (crates/eval/src/schemas.rs); an unregistered file name is a failure.
+# Called out by name, like scrub-gate.
 step_schema_check() {
-  run cargo run "${RELEASE[@]}" -q -p wmh-perf --bin schema_check -- results
+  run cargo test "${RELEASE[@]}" -p wmh-eval --lib every_checked_in_result_file_validates -q
 }
 
 # The repository benchmark (benchmark/) is its own workspace with path
@@ -246,33 +245,15 @@ step_bench_check() {
     --workload all --smoke
 }
 
-# Performance gate: the wmh-perf quick suite vs results/BENCH_baseline.json
-# (skippable via WMH_SKIP_PERF=1; tolerance via WMH_PERF_TOL).
-step_perf_gate() {
+# Performance gate: the repository benchmark, this tree against the merge
+# base with main, in interleaved same-host pairs (scripts/ab.sh). On main
+# itself that compares the parent with itself, which must pass.
+step_ab() {
   if [[ "$QUICK" == "1" ]]; then
-    echo "==> skipping perf gate (--quick: debug timings are not gateable)"
+    echo "==> skipping ab (--quick: the benchmark takes about half an hour)"
   else
-    run scripts/perf_gate.sh
+    run scripts/ab.sh "$(git merge-base HEAD main)"
   fi
-}
-
-# Perf trajectory: the two newest checked-in BENCH_fig9_hot points under
-# results/trajectory/ must compare clean — no workload regressed beyond
-# WMH_PERF_TOL between consecutive points, and none disappeared (coverage
-# drop). This gates the history itself, not the current machine: both
-# inputs are checked-in files, so it runs in --quick mode too. After an
-# intentional perf change, append a new numbered point alongside the
-# refreshed results/BENCH_fig9_hot.json rather than rewriting old ones.
-step_perf_trajectory() {
-  local points=(results/trajectory/BENCH_fig9_hot_*.json)
-  if ((${#points[@]} < 2)); then
-    echo "perf-trajectory: need >=2 checked-in points in results/trajectory/," \
-      "found ${#points[@]}" >&2
-    return 1
-  fi
-  local prev="${points[-2]}" newest="${points[-1]}"
-  run cargo run "${RELEASE[@]}" -q -p wmh-perf --bin wmh-perf -- compare "$prev" "$newest" \
-    --tolerance "${WMH_PERF_TOL:-0.25}"
 }
 
 # Formatting and lints are advisory if the components are not installed
