@@ -38,7 +38,7 @@
 //! Floating-point honesty: hashed uniforms have a floor of `2⁻⁵³`
 //! ([`wmh_hash::to_unit_open`]), so bands more than 53 below a weight's
 //! exponent cannot accept darts — both traversals start there (the
-//! "float ramp"). Cell counts are capped at [`MAX_DARTS_PER_CELL`]
+//! "float ramp"). Cell counts are capped at `MAX_DARTS_PER_CELL` = 16
 //! (`P(Poisson(1) > 16) ≈ 3·10⁻¹⁵`); the cap, the uniform grid, and the
 //! discrete ranks perturb the process identically for every set (they are
 //! functions of dart identity only), so consistency is exact and the

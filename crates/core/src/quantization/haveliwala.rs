@@ -47,7 +47,7 @@ impl Haveliwala {
     /// function `d`, or `None` when every weight quantizes to zero.
     ///
     /// The per-element enumeration is capped at
-    /// [`crate::quantization::MAX_SUBELEMENTS`] as defense-in-depth; the
+    /// `MAX_SUBELEMENTS` (2²⁶) as defense-in-depth; the
     /// public [`Sketcher::sketch`] path has already rejected over-budget
     /// sets with a typed error before calling this, so the cap never bites
     /// there.

@@ -39,10 +39,9 @@
 //!   [`StoreError`] — never a panic, never an unbounded allocation.
 //!   Claimed sizes are validated against the actual buffer length with
 //!   checked arithmetic *before* anything is allocated.
-//! * [`SketchStore::save_to_path`] is **atomic**: bytes go to a sibling
-//!   temp file which is fsynced and then renamed over the target (with a
-//!   directory fsync), so a crash mid-write leaves either the old file or
-//!   the new one, never a torn hybrid.
+//! * [`SketchStore::save_to_path`] is **atomic**
+//!   ([`wmh_fault::durable::publish`]): a crash mid-write leaves either
+//!   the old file or the new one, never a torn hybrid.
 //! * [`SketchStore::salvage`] is the disaster path: given a corrupted
 //!   buffer with a readable header it recovers the longest valid record
 //!   prefix and reports what was lost in a [`RecoveryReport`].
@@ -52,8 +51,8 @@
 //! decoder can reconstruct comparable [`Sketch`] values.
 
 use crate::sketch::Sketch;
-use std::io::Write as _;
 use std::path::Path;
+use wmh_fault::durable::{self, Points};
 use wmh_hash::crc32c::crc32c;
 
 const MAGIC: &[u8; 4] = b"WMHS";
@@ -134,12 +133,6 @@ impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e.to_string())
     }
-}
-
-/// An injected fault is indistinguishable from a real I/O failure to
-/// callers — same `Io` variant, message naming the failpoint.
-fn injected(point: Result<(), wmh_fault::Fault>) -> Result<(), StoreError> {
-    point.map_err(|f| StoreError::Io(f.to_string()))
 }
 
 /// What [`SketchStore::salvage`] managed to pull out of a damaged buffer.
@@ -506,49 +499,26 @@ impl SketchStore {
 
     /// Persist atomically to `path` (v2 format).
     ///
-    /// The bytes are written to a sibling temp file, fsynced, renamed over
-    /// `path`, and the parent directory is fsynced — after a crash at any
-    /// point, `path` holds either the previous contents or the new store.
+    /// With [`durable::publish`], after a crash at any point `path` holds
+    /// either the previous contents or the new store.
     ///
     /// # Errors
-    /// [`StoreError::Io`] on any filesystem failure. A failed directory
-    /// fsync is reported too, after the rename: `path` then already holds
-    /// the new store, which is published but not known to be durable.
+    /// [`StoreError::Io`] on any filesystem failure, including a failed
+    /// directory fsync after the rename (the new store is then in place
+    /// but not known durable).
     pub fn save_to_path(&self, path: &Path) -> Result<(), StoreError> {
-        let file_name =
-            path.file_name().ok_or_else(|| StoreError::Io("path has no file name".to_owned()))?;
-        let mut tmp_name = file_name.to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        let result = (|| -> Result<(), StoreError> {
-            let mut f = std::fs::File::create(&tmp)?;
-            injected(wmh_fault::point!("store::write"))?;
-            let bytes = self.encode();
-            // A firing `store::short_write` models a lying fsync: half the
-            // bytes land and the save still *reports* success, leaving a
-            // torn file for the salvage path to chew on.
-            let visible: &[u8] = if wmh_fault::point!("store::short_write").is_err() {
-                &bytes[..bytes.len() / 2]
-            } else {
-                &bytes
-            };
-            f.write_all(visible)?;
-            injected(wmh_fault::point!("store::fsync"))?;
-            f.sync_all()?;
-            drop(f);
-            injected(wmh_fault::point!("store::rename"))?;
-            std::fs::rename(&tmp, path)?;
-            // Make the rename itself durable.
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                injected(wmh_fault::point!("store::sync_dir"))?;
-                std::fs::File::open(dir)?.sync_all()?;
-            }
-            Ok(())
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
+        // A firing `store::short_write` models a lying fsync: half the
+        // bytes land and the save still *reports* success, leaving a torn
+        // file for the salvage path to chew on.
+        let points = Points {
+            write: Some("store::write"),
+            torn: Some("store::short_write"),
+            fsync: Some("store::fsync"),
+            rename: Some("store::rename"),
+            sync_dir: Some("store::sync_dir"),
+            ..Points::default()
+        };
+        Ok(durable::publish(path, &self.encode(), points)?)
     }
 
     /// Load and verify a store previously written by [`Self::save_to_path`].

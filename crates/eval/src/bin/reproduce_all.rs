@@ -11,6 +11,7 @@ use wmh_data::PAPER_DATASETS;
 use wmh_eval::experiments::{ablations, figures, illustrations, tables};
 use wmh_eval::report::{fmt_value, save_json, Table};
 use wmh_eval::{cli, RunOptions, Scale};
+use wmh_fault::durable::{self, Points};
 
 fn main() {
     cli::init_faults();
@@ -85,12 +86,11 @@ fn main() {
     let dir = std::path::Path::new("results");
     let _ = save_json(dir, "fig8_quick", &cells8);
     let _ = save_json(dir, "fig9_quick", &cells9);
-    if let Err(e) = std::fs::create_dir_all(dir)
-        .map_err(|e| e.to_string())
-        .and_then(|()| std::fs::write(dir.join("REPORT.md"), &report).map_err(|e| e.to_string()))
-    {
-        eprintln!("could not write report: {e}");
-    } else {
-        eprintln!("wrote results/REPORT.md");
+    let published = std::fs::create_dir_all(dir).and_then(|()| {
+        durable::publish(&dir.join("REPORT.md"), report.as_bytes(), Points::default())
+    });
+    match published {
+        Ok(()) => eprintln!("wrote results/REPORT.md"),
+        Err(e) => eprintln!("could not write report: {e}"),
     }
 }

@@ -28,8 +28,8 @@
 
 use crate::runner::{Measurement, RunnerError, Scale};
 use std::collections::{HashMap, HashSet};
-use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::Path;
+use wmh_fault::durable::{self, AppendFile, Points};
 use wmh_json::{FromJson, Json, JsonError, ToJson};
 
 /// One checkpointed unit of completed work.
@@ -172,6 +172,16 @@ impl FromJson for Entry {
     }
 }
 
+/// The checkpoint's failpoints, at the steps [`Points`] names.
+const POINTS: Points = Points {
+    write: Some("checkpoint::write"),
+    torn: Some("checkpoint::torn_write"),
+    fsync: Some("checkpoint::fsync"),
+    rename: None,
+    sync_dir: Some("checkpoint::sync_dir"),
+    rewind: Some("checkpoint::rewind"),
+};
+
 fn meta_line(experiment: &str, scale: &Scale, algorithms: &[String]) -> String {
     let meta = Json::Obj(vec![
         ("kind".to_owned(), Json::Str("meta".to_owned())),
@@ -185,14 +195,8 @@ fn meta_line(experiment: &str, scale: &Scale, algorithms: &[String]) -> String {
 /// An open checkpoint: the already-completed units plus an append handle.
 #[derive(Debug)]
 pub struct Checkpoint {
-    file: std::fs::File,
-    /// Bytes of complete, synced records. A failed append rewinds the file
-    /// here so a *retried* append never leaves a torn line mid-file (the
-    /// open-time torn-tail repair only handles a torn final line).
-    valid_len: u64,
-    /// Set when a failed append could not be rewound: the on-disk tail is
-    /// unknown, so further appends must not run.
-    poisoned: bool,
+    /// Ends at the last complete, synced record.
+    file: AppendFile,
     resumed_units: usize,
     mse_reps: HashMap<(String, String, usize), Vec<f64>>,
     mse_timeouts: HashSet<(String, String)>,
@@ -209,7 +213,8 @@ impl Checkpoint {
     /// `(experiment, algorithms, scale)` exactly; otherwise it is reset —
     /// a checkpoint from different parameters would poison the results.
     /// A torn final line is discarded and the file truncated back to the
-    /// last complete record.
+    /// last complete record. A fresh file's meta line and directory entry
+    /// are synced before this returns.
     ///
     /// # Errors
     /// [`RunnerError::Checkpoint`] on I/O failure.
@@ -220,9 +225,7 @@ impl Checkpoint {
         algorithms: &[String],
     ) -> Result<Self, RunnerError> {
         let io = |e: std::io::Error| RunnerError::Checkpoint(format!("{}: {e}", path.display()));
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).map_err(io)?;
-        }
+        std::fs::create_dir_all(durable::parent_dir(path)).map_err(io)?;
         let expected_meta = meta_line(experiment, scale, algorithms);
         let existing = match std::fs::read(path) {
             Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
@@ -256,34 +259,17 @@ impl Checkpoint {
             valid_len = line_end;
             pos = line_end;
         }
-        if !meta_matches {
+        let file = if meta_matches {
+            AppendFile::open(path, valid_len as u64, POINTS)
+        } else {
             // Fresh or stale: restart the file from scratch.
             entries.clear();
-            valid_len = 0;
+            AppendFile::create(path, format!("{expected_meta}\n").as_bytes(), POINTS)
         }
-
-        // Length is managed explicitly below (`set_len` truncates away any
-        // torn tail), so the open itself must not truncate.
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
-            .map_err(io)?;
-        file.set_len(valid_len as u64).map_err(io)?;
-        file.seek(SeekFrom::End(0)).map_err(io)?;
-        if valid_len == 0 {
-            file.write_all(expected_meta.as_bytes()).map_err(io)?;
-            file.write_all(b"\n").map_err(io)?;
-            file.sync_data().map_err(io)?;
-            valid_len = expected_meta.len() + 1;
-        }
+        .map_err(io)?;
 
         let mut ckpt = Self {
             file,
-            valid_len: valid_len as u64,
-            poisoned: false,
             resumed_units: entries.len(),
             mse_reps: HashMap::new(),
             mse_timeouts: HashSet::new(),
@@ -358,53 +344,20 @@ impl Checkpoint {
 
     /// Append one completed unit and flush it to disk before returning.
     ///
-    /// On failure the file is rewound to the last complete record, so the
-    /// caller may safely retry the append — a half-written line never
-    /// stays *mid-file*, where the open-time torn-tail repair (which only
-    /// handles a torn final line) could not remove it. If the rewind
-    /// itself fails the checkpoint is **poisoned**: the on-disk tail is
-    /// unknown, and every further append fails fast rather than write
-    /// after garbage.
+    /// A failed append is rewound ([`AppendFile::append`]), so a retry
+    /// never leaves a torn line mid-file, where the open-time repair could
+    /// not remove it; a failed rewind poisons the checkpoint.
     ///
     /// # Errors
     /// [`RunnerError::Checkpoint`] on I/O failure.
     pub fn append(&mut self, entry: &Entry) -> Result<(), RunnerError> {
-        let io = |e: String| RunnerError::Checkpoint(format!("append: {e}"));
-        if self.poisoned {
-            return Err(io("checkpoint poisoned by an earlier unrecoverable failure".to_owned()));
-        }
         let mut line = wmh_json::to_string(entry);
         line.push('\n');
-        if let Err(e) = self.try_write(&line) {
-            let rewound = self
-                .file
-                .set_len(self.valid_len)
-                .and_then(|()| self.file.seek(SeekFrom::Start(self.valid_len)).map(|_| ()));
-            if rewound.is_err() {
-                self.poisoned = true;
-            }
-            return Err(io(e));
-        }
-        self.valid_len += line.len() as u64;
+        self.file
+            .append(line.as_bytes())
+            .map_err(|e| RunnerError::Checkpoint(format!("append: {e}")))?;
         self.index(entry.clone());
         Ok(())
-    }
-
-    /// The fallible bytes-to-disk step of [`Self::append`], instrumented
-    /// for the chaos tests: `checkpoint::write` fails before any byte
-    /// lands, `checkpoint::torn_write` writes half the record before
-    /// failing, `checkpoint::fsync` fails after the write.
-    fn try_write(&mut self, line: &str) -> Result<(), String> {
-        let io = |e: std::io::Error| e.to_string();
-        let fault = |f: wmh_fault::Fault| f.to_string();
-        wmh_fault::point!("checkpoint::write").map_err(fault)?;
-        if let Err(f) = wmh_fault::point!("checkpoint::torn_write") {
-            let _ = self.file.write_all(&line.as_bytes()[..line.len() / 2]);
-            return Err(fault(f));
-        }
-        self.file.write_all(line.as_bytes()).map_err(io)?;
-        wmh_fault::point!("checkpoint::fsync").map_err(fault)?;
-        self.file.sync_data().map_err(io)
     }
 }
 

@@ -3,6 +3,7 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
+use wmh_fault::durable::{self, Points};
 
 /// A simple column-aligned markdown table builder.
 #[derive(Debug, Default, Clone)]
@@ -147,8 +148,9 @@ pub fn ascii_plot(title: &str, series: &[Series], width: usize, height: usize) -
 /// Persist a serializable result next to a human-readable rendering.
 ///
 /// Writes `<dir>/<name>.json`; creates the directory if needed. The write
-/// is atomic (temp file + rename) so a crash mid-write never leaves a
-/// half-written result file behind.
+/// is durable as well as atomic ([`wmh_fault::durable::publish`]: temp
+/// file, fsync, rename, directory fsync), so a crash never leaves a
+/// half-written result file behind and a returned path survives power loss.
 ///
 /// # Errors
 /// I/O errors.
@@ -159,9 +161,8 @@ pub fn save_json<T: wmh_json::ToJson>(
 ) -> Result<std::path::PathBuf, Box<dyn std::error::Error>> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
-    let tmp = dir.join(format!(".{name}.json.tmp"));
-    std::fs::write(&tmp, wmh_json::to_string_pretty(value))?;
-    std::fs::rename(&tmp, &path)?;
+    let json = wmh_json::to_string_pretty(value);
+    durable::publish(&path, json.as_bytes(), Points::default())?;
     Ok(path)
 }
 
@@ -230,8 +231,8 @@ mod tests {
         let text = std::fs::read_to_string(path).unwrap();
         let back: Vec<i32> = wmh_json::from_str(&text).unwrap();
         assert_eq!(back, vec![1, 2, 3]);
-        // No temp file is left behind.
-        assert!(!dir.join(".probe.json.tmp").exists());
+        // No temp file is left behind: publish stages in `<name>.tmp`.
+        assert!(!dir.join("probe.json.tmp").exists());
     }
 
     #[test]

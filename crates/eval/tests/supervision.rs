@@ -1,7 +1,8 @@
 //! The sweep supervisor's contract, pinned under fault injection:
 //! deadlines are terminal (never retried), quarantines checkpoint and
-//! resume byte-identically, failed checkpoint appends rewind cleanly, and
-//! the backoff jitter is thread-count-independent.
+//! resume byte-identically, failed checkpoint appends rewind cleanly (and
+//! poison the checkpoint when the rewind fails), a fresh checkpoint syncs
+//! its directory, and the backoff jitter is thread-count-independent.
 //!
 //! Every test that runs a sweep enters its own [`wmh_fault::scenario`] —
 //! including "fault-free" phases, which use a never-firing probe whose
@@ -158,6 +159,68 @@ fn failed_append_rewinds_so_a_retry_leaves_no_torn_line() {
         assert_eq!(std::fs::metadata(&path).expect("meta").len(), before, "{point}");
         c.append(&entry).expect("retry succeeds");
     }
+}
+
+/// A fresh checkpoint's directory entry is synced before `open` returns:
+/// a failing directory sync is an open error and leaves no file behind,
+/// so the retried open creates it again instead of resuming a file whose
+/// name may not survive a power cut.
+#[test]
+fn fresh_checkpoint_open_fails_when_its_directory_sync_fails() {
+    let path = scratch("supervision").join("fresh_sync_dir.jsonl");
+    let scale = small_scale();
+    let algos = vec!["ICWS".to_owned()];
+    {
+        let g = wmh_fault::scenario("checkpoint::sync_dir=once", 7).expect("scenario");
+        let err = Checkpoint::open(&path, "mse", &scale, &algos).expect_err("injected dir sync");
+        assert!(err.to_string().contains("checkpoint::sync_dir"), "{err}");
+        assert!(!path.exists(), "a failed create must not leave the file");
+        let c = Checkpoint::open(&path, "mse", &scale, &algos).expect("retry creates it");
+        assert_eq!(c.resumed_units(), 0);
+        assert_eq!(g.hits("checkpoint::sync_dir"), 2);
+    }
+    // Resuming an existing file creates nothing, so it syncs no directory.
+    let g = wmh_fault::scenario("checkpoint::sync_dir=always", 7).expect("scenario");
+    Checkpoint::open(&path, "mse", &scale, &algos).expect("resume");
+    assert_eq!(g.hits("checkpoint::sync_dir"), 0);
+}
+
+/// A failed append whose rewind fails too poisons the checkpoint: the
+/// torn half-line stays, every later append is refused without touching
+/// the file, and a reopen cuts the torn tail and resumes the complete
+/// records.
+#[test]
+fn failed_rewind_poisons_appends_until_a_reopen_cuts_the_tail() {
+    let path = scratch("supervision").join("poisoned.jsonl");
+    let scale = small_scale();
+    let algos = vec!["ICWS".to_owned()];
+    let entry = |rep| Entry::MseRep {
+        dataset: "ds".into(),
+        algorithm: "ICWS".into(),
+        rep,
+        per_d: vec![0.5, 0.25],
+    };
+    let mut c = Checkpoint::open(&path, "mse", &scale, &algos).expect("open");
+    c.append(&entry(0)).expect("clean append");
+    let complete = std::fs::metadata(&path).expect("meta").len();
+    {
+        let g = wmh_fault::scenario("checkpoint::torn_write=once;checkpoint::rewind=once", 7)
+            .expect("scenario");
+        c.append(&entry(1)).expect_err("injected torn write");
+        assert_eq!(g.fired("checkpoint::rewind"), 1);
+    }
+    let torn = std::fs::metadata(&path).expect("meta").len();
+    assert!(torn > complete, "the torn half-line stays on disk");
+    let err = c.append(&entry(1)).expect_err("poisoned");
+    assert!(err.to_string().contains("poisoned"), "{err}");
+    assert_eq!(std::fs::metadata(&path).expect("meta").len(), torn, "nothing lands after it");
+    drop(c);
+
+    let mut c = Checkpoint::open(&path, "mse", &scale, &algos).expect("reopen");
+    assert_eq!(c.resumed_units(), 1);
+    assert_eq!(std::fs::metadata(&path).expect("meta").len(), complete, "the tail was cut");
+    c.append(&entry(1)).expect("appends resume");
+    assert_eq!(c.mse_rep("ds", "ICWS", 1), Some(&[0.5, 0.25][..]));
 }
 
 /// The backoff jitter is a pure function of `(seed, cell, attempt)`:

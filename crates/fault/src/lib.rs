@@ -83,6 +83,7 @@
 //! no `--test-threads=1`. Binaries call [`init_from_env`] once on the
 //! main thread instead.
 
+pub mod durable;
 mod registry;
 mod scenario;
 pub mod supervisor;

@@ -53,8 +53,8 @@
 //! thread through ingest (`serve::ingest`), shard queries
 //! (`serve::shard_query`, tagged by shard id), admission
 //! (`serve::admission`), merge (`serve::merge`), the whole mutation
-//! commit path (`serve::wal_append`, `serve::wal_fsync`, `serve::apply`,
-//! `serve::reshard`), and the durability lifecycle (`serve::wal_rotate`,
+//! commit path (`serve::wal_append`, `serve::wal_fsync`, `serve::wal_rewind`,
+//! `serve::apply`, `serve::reshard`), and the durability lifecycle (`serve::wal_rotate`,
 //! `serve::wal_replay` tagged by generation, `serve::snapshot_write`,
 //! `serve::snapshot_fsync`, `serve::snapshot_rename`, `serve::scrub`,
 //! `serve::scrub_audit` tagged by shard id). Shard jobs, connection

@@ -10,7 +10,7 @@
 //!
 //! The split of responsibilities:
 //!
-//! * [`scan_files`] (this module) is the read-only phase-A walk: verify
+//! * `scan_files` (this module) is the read-only phase-A walk: verify
 //!   every snapshot end-to-end and every WAL segment's frames, and
 //!   classify what is damaged. It holds no locks and mutates nothing.
 //! * [`crate::Service::scrub`] owns the healing: it runs `scan_files`

@@ -138,9 +138,9 @@ impl Service {
         };
         let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
         let provenance = provenance_of(&w.store);
-        let dir = w.wal.dir().to_owned();
-        let findings = crate::scrub::scan_files(&dir, &provenance, w.wal.active_generation())
-            .map_err(|e| ServiceError::Scrub(e.to_string()))?;
+        let findings =
+            crate::scrub::scan_files(w.wal.dir(), &provenance, w.wal.active_generation())
+                .map_err(|e| ServiceError::Scrub(e.to_string()))?;
         let mut report = ScrubReport {
             snapshots_checked: findings.snapshots_checked,
             segments_checked: findings.segments_checked,
@@ -163,15 +163,8 @@ impl Service {
         // segments (often already retired by the fresh snapshot).
         if !findings.corrupt_snapshots.is_empty() || !findings.corrupt_segments.is_empty() {
             for (_, path, _) in &findings.corrupt_snapshots {
-                let mut bad = path.clone().into_os_string();
-                bad.push(".bad");
-                if let Err(e) = std::fs::rename(path, &bad) {
+                if let Err(e) = wmh_fault::durable::quarantine(path) {
                     report.heal_errors.push(format!("quarantining {}: {e}", path.display()));
-                }
-            }
-            if !findings.corrupt_snapshots.is_empty() {
-                if let Err(e) = crate::wal::sync_dir(&dir) {
-                    report.heal_errors.push(format!("syncing {}: {e}", dir.display()));
                 }
             }
             match self.snapshot_locked(&mut w) {

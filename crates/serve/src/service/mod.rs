@@ -25,8 +25,8 @@
 //! ## The write path (see also [`crate::wal`])
 //!
 //! Writes are serialized through one writer lock and follow a fixed
-//! order: pre-sketch (outside the lock) → [`Mirror::transition`] →
-//! durable WAL append → [`Mirror::commit`] → dispatch to the owning
+//! order: pre-sketch (outside the lock) → `Mirror::transition` →
+//! durable WAL append → `Mirror::commit` → dispatch to the owning
 //! shard. The transition is the only place a mutation's effect is
 //! computed: it validates the mutation against the mirror and derives
 //! the resulting overlay codes and stream state, and the shard apply op
@@ -41,7 +41,7 @@
 //!
 //! ## The durability lifecycle
 //!
-//! The writer owns a [`Mirror`]: the live id set, the overlay codes of
+//! The writer owns a `Mirror`: the live id set, the overlay codes of
 //! every id whose indexed sketch differs from the cold store, and the
 //! full streaming state of every drifting document. The mirror is what
 //! every rebuild (cold open, self-heal, re-shard) folds into shards, and

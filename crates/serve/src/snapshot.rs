@@ -14,7 +14,7 @@
 //!
 //! One file per generation, `snap-<generation:016x>.snap`, next to the WAL
 //! segments, using the same `[len][payload][crc32c]` framing
-//! ([`crate::wal::frame`]) behind its own magic:
+//! (`crate::wal::frame`) behind its own magic:
 //!
 //! ```text
 //! magic    8 bytes  b"WMHSNAP1"
@@ -39,13 +39,9 @@
 //!
 //! ## Atomicity
 //!
-//! [`write`] stages to `<name>.tmp`, fsyncs, renames into place, and
-//! fsyncs the directory — the SketchStore discipline — so a crash or an
-//! ENOSPC at any point leaves either the complete new generation or no
-//! trace of it (the previous generation keeps serving). The failpoints
-//! `serve::snapshot_write`, `serve::snapshot_fsync`, and
-//! `serve::snapshot_rename` sit immediately before the three syscalls that
-//! can tear.
+//! [`write()`] publishes through [`wmh_fault::durable::publish`], so a
+//! crash or an ENOSPC at any point leaves either the complete new
+//! generation or no trace of it (the previous generation keeps serving).
 //!
 //! ## Fallback
 //!
@@ -56,15 +52,12 @@
 //! [`crate::Service`]), and a directory with no valid snapshot falls back
 //! to cold store + full replay when the log still reaches generation 0.
 
-use std::fs::File;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use wmh_core::extensions::HistoSketchState;
+use wmh_fault::durable::{self, Points};
 
-use crate::wal::{
-    encode_provenance, frame, injected, next_frame, sync_dir, Reader, WalError, WalProvenance,
-};
+use crate::wal::{encode_provenance, frame, next_frame, Reader, WalError, WalProvenance};
 
 /// File magic: identifies a wmh-serve snapshot, version 1.
 pub const SNAP_MAGIC: [u8; 8] = *b"WMHSNAP1";
@@ -129,12 +122,9 @@ pub fn list(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
     Ok(out)
 }
 
-/// Atomically write `state` as generation `state.generation` in `dir`:
-/// stage to `<name>.tmp`, fsync, rename into place, fsync the directory.
-/// On *any* failure — injected (`serve::snapshot_write`,
-/// `serve::snapshot_fsync`, `serve::snapshot_rename`) or real, ENOSPC
-/// included — the temp file is removed and the directory is exactly as
-/// before: the previous generation keeps serving.
+/// Atomically write `state` as generation `state.generation` in `dir`
+/// ([`durable::publish`], with the points `serve::snapshot_write`,
+/// `serve::snapshot_fsync` and `serve::snapshot_rename`).
 ///
 /// # Errors
 /// [`WalError::Io`] on filesystem failure, [`WalError::TooLarge`] if a
@@ -144,29 +134,15 @@ pub fn write(
     provenance: &WalProvenance,
     state: &SnapshotState,
 ) -> Result<PathBuf, WalError> {
-    let name = snapshot_file_name(state.generation);
-    let path = dir.join(&name);
-    let tmp = dir.join(format!("{name}.tmp"));
-    let result = (|| -> Result<(), WalError> {
-        let bytes = encode(provenance, state)?;
-        let mut file = File::create(&tmp)?;
-        injected(wmh_fault::point!("serve::snapshot_write"))?;
-        file.write_all(&bytes)?;
-        injected(wmh_fault::point!("serve::snapshot_fsync"))?;
-        file.sync_all()?;
-        drop(file);
-        injected(wmh_fault::point!("serve::snapshot_rename"))?;
-        std::fs::rename(&tmp, &path)?;
-        sync_dir(dir)?;
-        Ok(())
-    })();
-    match result {
-        Ok(()) => Ok(path),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
+    let path = dir.join(snapshot_file_name(state.generation));
+    let points = Points {
+        write: Some("serve::snapshot_write"),
+        fsync: Some("serve::snapshot_fsync"),
+        rename: Some("serve::snapshot_rename"),
+        ..Points::default()
+    };
+    durable::publish(&path, &encode(provenance, state)?, points)?;
+    Ok(path)
 }
 
 /// Read and fully verify one snapshot file: magic, every frame CRC, the
@@ -237,7 +213,7 @@ pub fn retain_latest(dir: &Path, keep: usize) -> Result<usize, WalError> {
         std::fs::remove_file(path)?;
     }
     if excess > 0 {
-        sync_dir(dir)?;
+        durable::sync_dir(dir)?;
     }
     Ok(excess)
 }

@@ -69,20 +69,20 @@
 //!
 //! ## Failpoints
 //!
-//! `serve::wal_append` fires before the frame bytes are written and
-//! `serve::wal_fsync` before the data sync; a reported failure rewinds the
-//! file to its pre-append length, so a *failed* append never leaves a torn
-//! frame behind — torn frames come only from crashes, which replay
+//! The active segment is a [`wmh_fault::durable::AppendFile`] with the
+//! points `serve::wal_append` (before the write), `serve::wal_fsync`
+//! (before the data sync) and `serve::wal_rewind` (the rewind of a failed
+//! append; firing poisons the log until a reopen). A *failed* append never
+//! leaves a torn frame — torn frames come only from crashes, which replay
 //! tolerates. `serve::wal_rotate` fires before a rotation creates the new
 //! segment (a failed rotation leaves the old segment active), and
 //! `serve::wal_replay` fires once per segment actually read at open — a
 //! never-firing probe on it turns replay work into an observable counter,
 //! which is how the compaction bound is pinned in tests.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use wmh_fault::durable::{self, AppendFile, Points};
 use wmh_hash::crc32c::crc32c;
 
 /// File magic: identifies a wmh-serve WAL segment, version 1.
@@ -90,6 +90,16 @@ pub const WAL_MAGIC: [u8; 8] = *b"WMHWAL1\0";
 
 /// Hard cap on a single frame payload (matches the wire frame cap).
 pub const MAX_WAL_RECORD: u32 = 16 << 20;
+
+/// The active segment's failpoints (see the module docs).
+const POINTS: Points = Points {
+    write: Some("serve::wal_append"),
+    fsync: Some("serve::wal_fsync"),
+    rewind: Some("serve::wal_rewind"),
+    torn: None,
+    rename: None,
+    sync_dir: None,
+};
 
 /// Errors from the write-ahead log.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,12 +146,6 @@ impl From<std::io::Error> for WalError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e.to_string())
     }
-}
-
-/// An injected fault is indistinguishable from a real I/O failure to
-/// callers — same `Io` variant, message naming the failpoint.
-pub(crate) fn injected(point: Result<(), wmh_fault::Fault>) -> Result<(), WalError> {
-    point.map_err(|f| WalError::Io(f.to_string()))
 }
 
 /// The `(algorithm, seed, D)` binding a WAL to one store.
@@ -288,33 +292,13 @@ pub struct SegmentInfo {
 pub struct Wal {
     dir: PathBuf,
     provenance: WalProvenance,
-    active: File,
+    /// The active segment, ending at its valid prefix — where the next
+    /// frame goes, and where a failed append rewinds to.
+    active: AppendFile,
     active_gen: u64,
-    /// Valid-prefix length of the active segment — where the next frame
-    /// goes, and where a failed append rewinds to.
-    active_len: u64,
     /// All non-quarantined segments, ascending by generation; the last is
     /// the active one.
     segments: Vec<SegmentInfo>,
-}
-
-/// How a segment header failed to parse.
-enum HeaderIssue {
-    /// The header is a truncated prefix — a crash mid-create.
-    Torn,
-    /// The header is present but wrong (foreign magic, undecodable
-    /// provenance, generation mismatch).
-    Fatal(WalError),
-}
-
-impl HeaderIssue {
-    /// The error this issue is on a segment that must be readable.
-    fn into_error(self) -> WalError {
-        match self {
-            Self::Torn => WalError::Corrupt("provenance frame missing or torn".into()),
-            Self::Fatal(e) => e,
-        }
-    }
 }
 
 impl Wal {
@@ -342,14 +326,14 @@ impl Wal {
         prepare_dir(path)?;
         let mut gens = scan_segments(path)?;
         if gens.is_empty() {
-            let (file, len) = create_segment(path, provenance, 0)?;
-            let segments = vec![SegmentInfo { generation: 0, records: 0, bytes: len }];
+            let active = create_segment(path, provenance, 0)?;
+            let segments =
+                vec![SegmentInfo { generation: 0, records: 0, bytes: active.valid_len() }];
             let wal = Self {
                 dir: path.to_owned(),
                 provenance: provenance.clone(),
-                active: file,
+                active,
                 active_gen: 0,
-                active_len: len,
                 segments,
             };
             return Ok((wal, Vec::new(), ReplayReport::default()));
@@ -362,11 +346,11 @@ impl Wal {
             let Some(&gen) = gens.last() else { break };
             let segpath = path.join(segment_file_name(gen));
             let bytes = std::fs::read(&segpath)?;
-            if !matches!(read_segment_header(&bytes, gen), Err(HeaderIssue::Torn)) {
+            if !header_torn(&bytes) {
                 break;
             }
             std::fs::remove_file(&segpath)?;
-            sync_dir(path)?;
+            durable::sync_dir(path)?;
             gens.pop();
         }
 
@@ -393,22 +377,17 @@ impl Wal {
                 continue;
             }
             let tag = gen.to_string();
-            injected(wmh_fault::point!("serve::wal_replay", &tag))?;
+            wmh_fault::point!("serve::wal_replay", &tag).map_err(std::io::Error::other)?;
             let bytes = std::fs::read(&segpath)?;
             // Only the last segment can be header-torn (handled above), and
             // only when it is the *sole* segment: a log whose first frame is
             // torn is indistinguishable from a foreign file.
-            let (got, mut at) =
-                read_segment_header(&bytes, gen).map_err(HeaderIssue::into_error)?;
-            check_provenance(provenance, got)?;
-            let mut seg_records = 0usize;
-            while let Some(frame) = next_frame(&bytes, at) {
-                // A CRC-valid frame that decodes to garbage is corruption,
-                // not a torn tail — prefix salvage must not swallow it.
-                mutations.push(Mutation::decode(frame.payload)?);
-                seg_records += 1;
-                at = frame.end;
+            let scan = scan_segment(&bytes, gen, |m| mutations.push(m))?;
+            check_provenance(provenance, &scan.provenance)?;
+            if let Some(e) = scan.error {
+                return Err(e);
             }
+            let (at, seg_records) = (scan.end, scan.records);
             let torn = bytes.len() - at;
             if torn > 0 && !last {
                 return Err(WalError::Corrupt(format!(
@@ -425,95 +404,53 @@ impl Wal {
             }
         }
 
-        let active_gen = *gens
-            .last()
-            .ok_or_else(|| WalError::Corrupt("WAL directory lists no segments".into()))?;
-        let mut active = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path.join(segment_file_name(active_gen)))?;
-        // Rewind the torn tail so the next append starts at the valid
-        // prefix instead of interleaving with garbage.
-        active.set_len(active_valid)?;
-        active.seek(SeekFrom::Start(active_valid))?;
-        if report.bytes_discarded > 0 {
-            active.sync_data()?;
-        }
+        let active_gen = gens[gens.len() - 1];
+        // Cut the torn tail so the next append starts at the valid prefix
+        // instead of interleaving with garbage.
+        let active =
+            AppendFile::open(&path.join(segment_file_name(active_gen)), active_valid, POINTS)?;
         let wal = Self {
             dir: path.to_owned(),
             provenance: provenance.clone(),
             active,
             active_gen,
-            active_len: active_valid,
             segments,
         };
         Ok((wal, mutations, report))
     }
 
-    /// Durably append one mutation to the active segment. On *any*
-    /// failure — injected (`serve::wal_append`, `serve::wal_fsync`) or
-    /// real — the file is rewound to its pre-append length, so a reported
-    /// failure never leaves a torn frame.
+    /// Durably append one mutation to the active segment
+    /// ([`AppendFile::append`]): a reported failure never leaves a torn
+    /// frame, and one whose rewind fails poisons the log until a reopen.
     ///
     /// # Errors
     /// [`WalError::TooLarge`] for an oversized record, [`WalError::Io`]
-    /// on write/sync failure.
+    /// on write/sync failure and on every append to a poisoned log.
     pub fn append(&mut self, mutation: &Mutation) -> Result<(), WalError> {
-        let bytes = frame(&mutation.encode())?;
-        let result = (|| -> Result<(), WalError> {
-            injected(wmh_fault::point!("serve::wal_append"))?;
-            self.active.write_all(&bytes)?;
-            injected(wmh_fault::point!("serve::wal_fsync"))?;
-            self.active.sync_data()?;
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                self.active_len += bytes.len() as u64;
-                if let Some(seg) = self.segments.last_mut() {
-                    seg.records += 1;
-                    seg.bytes = self.active_len;
-                }
-                Ok(())
-            }
-            Err(e) => {
-                // Best-effort rewind; if even that fails the open-time
-                // prefix salvage still recovers, because the torn frame
-                // cannot pass its CRC.
-                let _ = self.active.set_len(self.active_len);
-                let _ = self.active.seek(SeekFrom::Start(self.active_len));
-                Err(e)
-            }
+        self.active.append(&frame(&mutation.encode())?)?;
+        if let Some(seg) = self.segments.last_mut() {
+            seg.records += 1;
+            seg.bytes = self.active.valid_len();
         }
+        Ok(())
     }
 
     /// Seal the active segment and durably start the next generation.
     /// Appends after a successful rotation go to the new segment; on
-    /// failure (including an injected `serve::wal_rotate` fault) the
-    /// partial file is removed and the old segment stays active, so a
+    /// failure (including an injected `serve::wal_rotate` fault) no new
+    /// segment file is left behind and the old segment stays active, so a
     /// failed rotation is invisible.
     ///
     /// # Errors
     /// [`WalError::Io`] on filesystem failure.
     pub fn rotate(&mut self) -> Result<u64, WalError> {
         let gen = self.active_gen + 1;
-        let created = (|| -> Result<(File, u64), WalError> {
-            injected(wmh_fault::point!("serve::wal_rotate"))?;
-            create_segment(&self.dir, &self.provenance, gen)
-        })();
-        match created {
-            Ok((file, len)) => {
-                self.active = file;
-                self.active_gen = gen;
-                self.active_len = len;
-                self.segments.push(SegmentInfo { generation: gen, records: 0, bytes: len });
-                Ok(gen)
-            }
-            Err(e) => {
-                let _ = std::fs::remove_file(self.dir.join(segment_file_name(gen)));
-                Err(e)
-            }
-        }
+        wmh_fault::point!("serve::wal_rotate").map_err(std::io::Error::other)?;
+        self.active = create_segment(&self.dir, &self.provenance, gen)?;
+        self.active_gen = gen;
+        let bytes = self.active.valid_len();
+        self.segments.push(SegmentInfo { generation: gen, records: 0, bytes });
+        Ok(gen)
     }
 
     /// Delete every sealed segment with generation below `gen` (the active
@@ -541,7 +478,7 @@ impl Wal {
         }
         self.segments = keep;
         if removed > 0 {
-            sync_dir(&self.dir)?;
+            durable::sync_dir(&self.dir)?;
         }
         match failure {
             Some(e) => Err(e),
@@ -564,11 +501,7 @@ impl Wal {
         let Some(pos) = self.segments.iter().position(|s| s.generation == gen) else {
             return Ok(false);
         };
-        let name = segment_file_name(gen);
-        let mut bad = name.clone();
-        bad.push_str(".bad");
-        std::fs::rename(self.dir.join(&name), self.dir.join(&bad))?;
-        sync_dir(&self.dir)?;
+        durable::quarantine(&self.dir.join(segment_file_name(gen)))?;
         self.segments.remove(pos);
         Ok(true)
     }
@@ -667,41 +600,18 @@ pub fn inspect(path: &Path) -> Result<WalInfo, WalError> {
     let mut provenance: Option<WalProvenance> = None;
     let mut segments = Vec::with_capacity(gens.len());
     for gen in gens {
-        let bytes = std::fs::read(path.join(segment_file_name(gen)))?;
-        let mut report =
-            SegmentReport { generation: gen, records: 0, bytes: 0, torn_bytes: 0, error: None };
-        let header = read_segment_header(&bytes, gen).map_err(HeaderIssue::into_error).and_then(
-            |(got, at)| match &provenance {
-                None => {
-                    provenance = Some(got);
-                    Ok(at)
-                }
-                Some(expected) => check_provenance(expected, got).map(|()| at),
-            },
-        );
-        let mut at = match header {
-            Ok(at) => at,
-            Err(e) => {
-                report.error = Some(e.to_string());
-                segments.push(report);
-                continue;
-            }
+        let data = std::fs::read(path.join(segment_file_name(gen)))?;
+        let scan = scan_segment(&data, gen, drop).and_then(|scan| {
+            let expected = provenance.get_or_insert_with(|| scan.provenance.clone());
+            check_provenance(expected, &scan.provenance).map(|()| scan)
+        });
+        let (records, end, error) = match scan {
+            Ok(scan) => (scan.records, scan.end, scan.error),
+            Err(e) => (0, 0, Some(e)),
         };
-        while let Some(f) = next_frame(&bytes, at) {
-            match Mutation::decode(f.payload) {
-                Ok(_) => report.records += 1,
-                Err(e) => {
-                    report.error = Some(e.to_string());
-                    break;
-                }
-            }
-            at = f.end;
-        }
-        if report.error.is_none() {
-            report.torn_bytes = bytes.len() - at;
-        }
-        report.bytes = at as u64;
-        segments.push(report);
+        let torn_bytes = if error.is_some() { 0 } else { data.len() - end };
+        let (bytes, error) = (end as u64, error.map(|e| e.to_string()));
+        segments.push(SegmentReport { generation: gen, records, bytes, torn_bytes, error });
     }
     let provenance = provenance
         .ok_or_else(|| WalError::Corrupt("no segment yields a readable provenance".into()))?;
@@ -745,74 +655,89 @@ fn prepare_dir(path: &Path) -> Result<(), WalError> {
 }
 
 /// Create segment `gen` durably: magic + provenance frame + generation
-/// frame, fsynced, directory fsynced. Returns the open file positioned at
-/// the end and the header length.
+/// frame, fsynced, directory fsynced. Returns it open at the end.
 fn create_segment(
     dir: &Path,
     provenance: &WalProvenance,
     gen: u64,
-) -> Result<(File, u64), WalError> {
-    let path = dir.join(segment_file_name(gen));
-    let mut file =
-        OpenOptions::new().create(true).truncate(true).read(true).write(true).open(&path)?;
-    let mut head = Vec::new();
-    head.push(0u8);
-    head.extend_from_slice(&provenance.seed.to_le_bytes());
-    head.extend_from_slice(&(provenance.num_hashes as u32).to_le_bytes());
-    head.extend_from_slice(&(provenance.algorithm.len() as u32).to_le_bytes());
-    head.extend_from_slice(provenance.algorithm.as_bytes());
-    let mut gen_frame = Vec::new();
-    gen_frame.push(4u8);
+) -> Result<AppendFile, WalError> {
+    let mut gen_frame = vec![4u8];
     gen_frame.extend_from_slice(&gen.to_le_bytes());
     let mut bytes = WAL_MAGIC.to_vec();
-    bytes.extend_from_slice(&frame(&head)?);
+    bytes.extend_from_slice(&frame(&encode_provenance(provenance))?);
     bytes.extend_from_slice(&frame(&gen_frame)?);
-    file.write_all(&bytes)?;
-    file.sync_data()?;
-    sync_dir(dir)?;
-    Ok((file, bytes.len() as u64))
+    Ok(AppendFile::create(&dir.join(segment_file_name(gen)), &bytes, POINTS)?)
 }
 
-/// Read a segment header — magic, provenance frame, generation frame —
-/// and return the recorded provenance and the offset of the first
-/// mutation frame. A present generation frame must agree with the
-/// filename's `gen`; a torn one reads as a torn tail after the provenance,
-/// which is harmless since the filename still carries the generation.
-fn read_segment_header(bytes: &[u8], gen: u64) -> Result<(WalProvenance, usize), HeaderIssue> {
-    if bytes.len() < WAL_MAGIC.len() {
-        return Err(HeaderIssue::Torn);
+/// A segment's verified contents ([`scan_segment`]).
+struct Scan {
+    provenance: WalProvenance,
+    records: usize,
+    /// End of the last whole frame that decoded: the valid prefix.
+    end: usize,
+    /// A CRC-valid frame that decoded to garbage, where the scan stopped —
+    /// corruption, not a torn tail, so prefix salvage must not swallow it.
+    error: Option<WalError>,
+}
+
+/// Read segment `gen`: magic, provenance frame, generation frame, then
+/// every whole frame as a mutation handed to `each`, up to the first torn
+/// or undecodable one. A present generation frame must agree with the
+/// filename's `gen`; a torn one reads as a torn tail, harmless since the
+/// filename carries the generation. The provenance is returned for the
+/// caller to check.
+fn scan_segment(bytes: &[u8], gen: u64, mut each: impl FnMut(Mutation)) -> Result<Scan, WalError> {
+    if header_torn(bytes) {
+        return Err(WalError::Corrupt("provenance frame missing or torn".into()));
     }
-    if bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(HeaderIssue::Fatal(WalError::BadMagic));
-    }
-    let Some(head) = next_frame(bytes, WAL_MAGIC.len()) else {
-        return Err(HeaderIssue::Torn);
-    };
-    let provenance = decode_provenance(head.payload).map_err(HeaderIssue::Fatal)?;
-    let mut at = head.end;
-    if let Some(f) = next_frame(bytes, at) {
-        if f.payload.first() == Some(&4) {
-            let stamped = decode_generation(f.payload).map_err(HeaderIssue::Fatal)?;
-            if stamped != gen {
-                return Err(HeaderIssue::Fatal(WalError::Corrupt(format!(
-                    "segment file says generation {gen} but its frame says {stamped}"
-                ))));
-            }
-            at = f.end;
+    let head = next_frame(bytes, WAL_MAGIC.len())
+        .filter(|_| bytes.starts_with(&WAL_MAGIC))
+        .ok_or(WalError::BadMagic)?;
+    let provenance = decode_provenance(head.payload)?;
+    let mut end = head.end;
+    if let Some(f) = next_frame(bytes, end).filter(|f| f.payload.first() == Some(&4)) {
+        let stamped = decode_generation(f.payload)?;
+        if stamped != gen {
+            return Err(WalError::Corrupt(format!(
+                "segment file says generation {gen} but its frame says {stamped}"
+            )));
         }
+        end = f.end;
     }
-    Ok((provenance, at))
+    let (mut records, mut error) = (0, None);
+    while let Some(frame) = next_frame(bytes, end) {
+        match Mutation::decode(frame.payload) {
+            Ok(m) => {
+                each(m);
+                records += 1;
+            }
+            Err(e) => {
+                error = Some(e);
+                break;
+            }
+        }
+        end = frame.end;
+    }
+    Ok(Scan { provenance, records, end, error })
+}
+
+/// Whether a segment's header is a truncated prefix — a crash mid-create.
+fn header_torn(bytes: &[u8]) -> bool {
+    match bytes.get(..WAL_MAGIC.len()) {
+        Some(magic) => magic == WAL_MAGIC && next_frame(bytes, WAL_MAGIC.len()).is_none(),
+        None => true,
+    }
 }
 
 /// [`WalError::ProvenanceMismatch`] unless a segment's recorded provenance
 /// `got` is the `expected` one.
-fn check_provenance(expected: &WalProvenance, got: WalProvenance) -> Result<(), WalError> {
-    if got == *expected {
+fn check_provenance(expected: &WalProvenance, got: &WalProvenance) -> Result<(), WalError> {
+    if got == expected {
         return Ok(());
     }
     Err(WalError::ProvenanceMismatch {
         expected: (expected.algorithm.clone(), expected.seed, expected.num_hashes),
-        got: (got.algorithm, got.seed, got.num_hashes),
+        got: (got.algorithm.clone(), got.seed, got.num_hashes),
     })
 }
 
@@ -824,12 +749,6 @@ fn decode_generation(payload: &[u8]) -> Result<u64, WalError> {
     let gen = r.u64()?;
     r.finish()?;
     Ok(gen)
-}
-
-/// Fsync a directory so renames/creates/removes inside it are durable.
-pub(crate) fn sync_dir(dir: &Path) -> Result<(), WalError> {
-    File::open(dir)?.sync_all()?;
-    Ok(())
 }
 
 /// Frame a payload: `[len][payload][crc32c(payload)]`.

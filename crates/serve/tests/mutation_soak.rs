@@ -10,8 +10,9 @@
 //!   mutations, at 1, 2, and 8 shards.
 //! * **The WAL commit point is honest.** An exhausted append flips the
 //!   service read-only and acknowledges *nothing* it did not durably log;
-//!   a torn tail (partial final frame after a crash) is discarded on
-//!   replay, never misread.
+//!   a failed append whose rewind also fails poisons the log until a
+//!   reopen; a torn tail (partial final frame after a crash) is discarded
+//!   on replay, never misread.
 //! * **Self-heal converges.** An apply that exhausts its in-worker retries
 //!   rebuilds the shard from the durable state and keeps answering — state
 //!   identical to never having failed.
@@ -162,6 +163,71 @@ fn exhausted_append_flips_read_only_and_commits_nothing() {
     assert_eq!(report.records, 0, "nothing unacknowledged may replay: {report:?}");
     let pristine = Service::open(&store, &dir.join("pristine.wal"), config(2)).expect("pristine");
     assert_eq!(probe(&reopened, &docs), probe(&pristine, &docs));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A failed append whose rewind fails too (`serve::wal_rewind`) poisons
+/// the log: its tail is unknown, so no append may land after it. The write
+/// answers `read_only`, and the gate stays tripped after the append fault
+/// is gone, because every half-open probe is refused by the log itself. A
+/// reopen cuts whatever the tail holds and replays exactly the
+/// acknowledged writes.
+#[test]
+fn failed_rewind_poisons_the_log_until_a_reopen_cuts_the_tail() {
+    let docs = corpus(24);
+    let store = store_for(&docs);
+    let dir = scratch("poisoned");
+    let wal = dir.join("soak.wal");
+    let requests = script(&docs, 7);
+
+    let service = Service::open(&store, &wal, config(2)).expect("open");
+    let acked = run_script(&service, &requests[..6]);
+    assert_eq!(acked.len(), 6, "fault-free writes must fully ack");
+    let reference = probe(&service, &docs);
+    let segment = wal.join("wal-0000000000000000.seg");
+    let valid = std::fs::metadata(&segment).expect("segment").len();
+
+    {
+        let faults = wmh_fault::scenario("serve::wal_append=once;serve::wal_rewind=once", seed())
+            .expect("scenario");
+        let first = service.mutate(&requests[6]);
+        assert_eq!(first.outcome, Outcome::ReadOnly, "{first:?}");
+        assert!(!first.durable && !first.applied, "{first:?}");
+        assert!(first.error.as_deref().is_some_and(|e| e.contains("poisoned")), "{first:?}");
+        assert_eq!(faults.fired("serve::wal_rewind"), 1);
+    }
+    // No fault is armed any more, yet every write is refused: the fast
+    // path rejects, and each probe reaches the poisoned log and fails.
+    let later: Vec<_> = (0..16u64)
+        .map(|i| {
+            let doc = docs[i as usize].iter().collect();
+            let insert = MutationKind::Insert { doc };
+            service.mutate(&MutationRequest { id: 2_000_000 + i, kind: insert, deadline_us: None })
+        })
+        .collect();
+    assert!(later.iter().all(|r| r.outcome == Outcome::ReadOnly && !r.durable), "{later:?}");
+    assert!(
+        later.iter().any(|r| r.error.as_deref().is_some_and(|e| e.contains("poisoned"))),
+        "a half-open probe must have reached the log: {later:?}"
+    );
+    assert!(service.health().read_only, "the gate must stay tripped");
+    assert_eq!(probe(&service, &docs), reference, "refused writes must not apply");
+    drop(service);
+
+    // Model the unknown tail a failed rewind can leave: bytes after the
+    // last acknowledged frame.
+    let mut file = std::fs::OpenOptions::new().append(true).open(&segment).expect("segment");
+    file.write_all(&[0x40, 0x00, 0x00, 0x00, 0xde, 0xad]).expect("unknown tail");
+    drop(file);
+
+    let recovered = Service::open(&store, &wal, config(2)).expect("reopen");
+    let report = recovered.wal_recovery().expect("writable service");
+    assert_eq!(report.records, acked.len(), "no acknowledged write may be lost: {report:?}");
+    assert_eq!(report.bytes_discarded, 6, "the unknown tail must be cut: {report:?}");
+    assert_eq!(std::fs::metadata(&segment).expect("segment").len(), valid);
+    assert_eq!(probe(&recovered, &docs), reference);
+    let next = recovered.mutate(&requests[6]);
+    assert_eq!(next.outcome, Outcome::Ok, "appends resume after the reopen: {next:?}");
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -95,6 +95,7 @@ register bench-check "test and smoke-run the repository benchmark (its own works
 register ab "same-host benchmark A/B against the merge base with main (full mode only)"
 register fmt "cargo fmt --check (advisory if rustfmt missing)"
 register clippy "cargo clippy -D warnings (advisory if clippy missing)"
+register doc "cargo doc with RUSTDOCFLAGS=-D warnings: the docs stay warning-free"
 
 step_env_scaling() {
   # A child process must observe the exported effective values (this is
@@ -147,7 +148,7 @@ step_conformance() {
 step_catalog() {
   echo "==> catalog count pin (expect 15 algorithms)"
   local algo_count
-  algo_count="$(cargo run "${RELEASE[@]}" -q -- algorithms | wc -l)"
+  algo_count="$(cargo run "${RELEASE[@]}" -q --bin wmh -- algorithms | wc -l)"
   if [[ "$algo_count" != "15" ]]; then
     echo "catalog lists $algo_count algorithms, expected 15" >&2
     return 1
@@ -272,6 +273,12 @@ step_clippy() {
   else
     echo "==> skipping cargo clippy (clippy not installed)"
   fi
+}
+
+# Rustdoc warnings (broken or private intra-doc links, ambiguous names)
+# fail the gate: CONTRIBUTING requires warning-free docs.
+step_doc() {
+  RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps -q
 }
 
 # --- driver ------------------------------------------------------------
